@@ -251,3 +251,48 @@ def f_min_2pi_literal(params: CavityParams, s: float) -> float:
     ga_w = params.g_alpha / params.omega
     num = np.sqrt(1.0 + 4.0 * np.pi**2 * (2.0 * ga_w) ** 4)
     return float(num * np.exp(-s) / (4.0 * np.pi * ga_w))
+
+
+# ---------------------------------------------------------------------------
+# Scheme interface, shared with the cavityless module (see analysis.SCHEMES)
+
+#: Scaled decorrelation time Omega*t at which the thermal noise cancels.
+T_STAR = 2.0 * np.pi
+
+#: The meter argument of f_min for an unsqueezed cavity meter.
+VACUUM_METER = MeterSqueezing(0.0, 0.0)
+
+# aliases: the original names keep their callers.  An alias is bound at
+# import, so a patch set later on the original name does not reach it.
+f_min_at_t_star = f_min_2pi
+
+
+def params_from_ratios(ratios: dict) -> CavityParams:
+    """Params from the ratio dict of analysis.DEFAULT_PARAMS (Omega = 1)."""
+    return CavityParams.from_ratios(ratios["g_alpha_over_omega"], force=ratios.get("f", 1.0))
+
+
+def time_unit(params: CavityParams) -> float:
+    """Omega: scaled times are Omega*t."""
+    return params.omega
+
+
+def readout(params: CavityParams, t: float, s: float, n_th: float) -> tuple[float, float]:
+    """(signal per unit f, Var(Y)) at time t with the squeezing angle optimized there."""
+    return signal(params, t) / params.force, minimize_noise_over_phi(params, t, s, n_th)[1]
+
+
+def meter_state(params: CavityParams, t: float, s: float, n_th: float) -> GaussianState:
+    """Initial state with the squeezing angle that minimizes Var(Y) at time t."""
+    phi, _ = minimize_noise_over_phi(params, t, s, n_th)
+    return initial_state(MeterSqueezing(s, phi), n_th)
+
+
+def power_scaled(params: CavityParams, multiplier: float) -> CavityParams:
+    """g*alpha -> sqrt(m) g*alpha at fixed mirror frequency."""
+    return CavityParams(params.g_alpha * np.sqrt(multiplier), params.omega, params.force)
+
+
+def in_regime(params: CavityParams) -> bool:
+    """The cavity model has no regime condition."""
+    return True

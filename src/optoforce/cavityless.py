@@ -160,11 +160,6 @@ def z_i_observable() -> LinearObservable:
     return LinearObservable(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
 
 
-def z_r_observable() -> LinearObservable:
-    """Real heterodyne channel; carries -(X1 - X2).  Not analyzed further."""
-    return LinearObservable(np.array([-1.0, 0.0, 0.0, 0.0, 1.0, 0.0]))
-
-
 def initial_state(s: float, n_th: float) -> GaussianState:
     """Initial probe/meter state in mode order (a1, b, a2).
 
@@ -223,11 +218,6 @@ def noise_literal(params: CavitylessParams, t: float, s: float, n_th: float) -> 
     return float(term1 + term2 + term3)
 
 
-def snr(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
-    """|S| f / sqrt(N); the force strength params.force is already in S."""
-    return abs(signal(params, t)) / np.sqrt(noise(params, t, s, n_th))
-
-
 def f_min(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
     """Minimum detectable force sqrt(N)/|S| per unit f; inf where the signal vanishes."""
     sig_per_f = signal(params, t) / params.force
@@ -265,3 +255,51 @@ def f_min_at_pi_literal(params: CavitylessParams, s: float) -> float:
     if den == 0.0:
         return float("inf")
     return float((w**2 - Th**2) * np.exp(-s) / den)
+
+
+# ---------------------------------------------------------------------------
+# Scheme interface, shared with the cavity module (see analysis.SCHEMES)
+
+#: Scaled disentangling time Theta*t at which the thermal noise cancels.
+T_STAR = np.pi
+
+#: The meter argument of f_min for unsqueezed sidebands (s = 0).
+VACUUM_METER = 0.0
+
+# aliases: the original names keep their callers.  An alias is bound at
+# import, so a patch set later on the original name does not reach it.
+readout_observable = z_i_observable
+f_min_at_t_star = f_min_at_pi
+
+
+def params_from_ratios(ratios: dict) -> CavitylessParams:
+    """Params from the ratio dict of analysis.DEFAULT_PARAMS (chi = 1)."""
+    return CavitylessParams.from_ratios(
+        ratios["theta_over_chi"], ratios["omega_over_theta"], force=ratios.get("f", 1.0)
+    )
+
+
+def time_unit(params: CavitylessParams) -> float:
+    """Theta: scaled times are Theta*t."""
+    return params.Theta
+
+
+def readout(params: CavitylessParams, t: float, s: float, n_th: float) -> tuple[float, float]:
+    """(signal per unit f, Var(Z_I)) at time t: the sweep's fast path."""
+    return signal(params, t) / params.force, noise(params, t, s, n_th)
+
+
+def meter_state(params: CavitylessParams, t: float, s: float, n_th: float) -> GaussianState:
+    """Initial state whose Z_I is read at time t; here independent of t."""
+    return initial_state(s, n_th)
+
+
+def power_scaled(params: CavitylessParams, multiplier: float) -> CavitylessParams:
+    """chi, theta -> sqrt(m) (chi, theta) at fixed theta/chi and mirror frequency."""
+    scale = np.sqrt(multiplier)
+    return CavitylessParams(params.chi * scale, params.theta * scale, params.omega, params.force)
+
+
+def in_regime(params: CavitylessParams) -> bool:
+    """Omega^2/Theta^2 >= REGIME_RATIO_MIN, where the effective Hamiltonian holds."""
+    return params.omega**2 / params.Theta**2 >= REGIME_RATIO_MIN

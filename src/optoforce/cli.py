@@ -27,12 +27,9 @@ OUTDIR_ENV = "OPTOFORCE_OUTDIR"
 CSV_HEADER = "t_scaled,signal_per_f,noise,snr_per_f,f_min"
 
 DEFAULTS = {
-    "theta_over_chi": 1.025,
-    "omega_over_theta": 10.3,
-    "g_alpha_over_omega": 0.2,
+    **analysis.DEFAULT_PARAMS,
     "s": 0.0,
     "n_th": 0.0,
-    "f": 1.0,
     "tmin_scaled": 0.0,
     "tmax_scaled": 2.0 * math.pi,
     "points": 401,
@@ -41,12 +38,8 @@ DEFAULTS = {
     "out": None,
 }
 
-_FLOAT_KEYS = {
-    "theta_over_chi", "omega_over_theta", "g_alpha_over_omega",
-    "s", "n_th", "f", "tmin_scaled", "tmax_scaled",
-}
+_FLOAT_KEYS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, float))
 _INT_KEYS = {"points"}
-_STR_KEYS = {"model", "format", "out"}
 
 
 class ConfigError(ValueError):
@@ -95,15 +88,28 @@ def parse_config_file(text: str) -> dict:
     return out
 
 
+def _models(command: str) -> tuple[list[str], str | None]:
+    """(valid --model values, default model) of one command."""
+    schemes = list(analysis.SCHEMES)
+    if command in ("fig2", "power-scaling"):
+        return [*schemes, "both"], "both"
+    if command == "validate":
+        return [], None
+    return schemes, schemes[0]
+
+
 def _validate(cfg: dict, command: str) -> None:
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
+    if cfg["f"] == 0.0:
+        raise ConfigError("f: force strength must be nonzero")
     if cfg["theta_over_chi"] <= 1.0:
         raise ConfigError(
             "theta_over_chi: theta must exceed chi (theta/chi > 1 required)"
         )
     if cfg["omega_over_theta"] <= 0.0:
         raise ConfigError("omega_over_theta: must be positive")
-    if not math.isfinite(cfg["g_alpha_over_omega"]):
-        raise ConfigError("g_alpha_over_omega: must be finite")
     if cfg["n_th"] < 0.0:
         raise ConfigError("n_th: thermal occupation must be nonnegative")
     if cfg["points"] < 2:
@@ -114,19 +120,11 @@ def _validate(cfg: dict, command: str) -> None:
         )
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format: unknown format {cfg['format']!r}")
-    allowed = {
-        "sweep": {"cavityless", "cavity"},
-        "sql": {"cavityless", "cavity"},
-        "fig2": {"cavityless", "cavity", "both"},
-        "power-scaling": {"cavityless", "cavity", "both"},
-        "validate": {None},
-    }[command]
+    choices, default = _models(command)
     model = cfg["model"]
-    if command in ("fig2", "power-scaling") and model is None:
-        cfg["model"] = "both"
-    elif command in ("sweep", "sql") and model is None:
-        cfg["model"] = "cavityless"
-    elif model is not None and model not in allowed:
+    if model is None:
+        cfg["model"] = default
+    elif model not in choices:
         raise ConfigError(f"model: {model!r} not valid for {command}")
 
 
@@ -146,12 +144,7 @@ def parse_config(argv: list[str]) -> RunConfig:
         if flag is not None:
             cfg[key] = flag
     _validate(cfg, ns.command)
-    params = {
-        "theta_over_chi": cfg["theta_over_chi"],
-        "omega_over_theta": cfg["omega_over_theta"],
-        "g_alpha_over_omega": cfg["g_alpha_over_omega"],
-        "f": cfg["f"],
-    }
+    params = {key: cfg[key] for key in analysis.DEFAULT_PARAMS}
     return RunConfig(
         command=ns.command,
         model=cfg["model"],
@@ -175,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, models):
-        p.add_argument("--model", choices=models)
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--model", choices=_models(name)[0])
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("-o", "--out", help="output file or directory")
         p.add_argument("--theta-over-chi", type=float, dest="theta_over_chi")
@@ -185,25 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float)
         p.add_argument("--n-th", type=float, dest="n_th")
         p.add_argument("--f", type=float)
+        return p
 
-    p = sub.add_parser("sweep", help="time sweep for one model and (s, n_th)")
-    common(p, ["cavityless", "cavity"])
+    p = command("sweep", "time sweep for one model and (s, n_th)")
     p.add_argument("--tmin-scaled", type=float, dest="tmin_scaled")
     p.add_argument("--tmax-scaled", type=float, dest="tmax_scaled")
     p.add_argument("--points", type=int)
-
-    p = sub.add_parser("fig2", help="the six figure curves (SQL, thermal, squeezed)")
-    common(p, ["cavityless", "cavity", "both"])
+    p = command("fig2", "the six figure curves (SQL, thermal, squeezed)")
     p.add_argument("--points", type=int)
-
-    p = sub.add_parser("power-scaling", help="f_min versus laser-power multiplier")
-    common(p, ["cavityless", "cavity", "both"])
-
-    p = sub.add_parser("validate", help="oracle validation ledger")
-    common(p, [])
-
-    p = sub.add_parser("sql", help="standard quantum limit at the disentangling time")
-    common(p, ["cavityless", "cavity"])
+    command("power-scaling", "f_min versus laser-power multiplier")
+    command("validate", "oracle validation ledger")
+    command("sql", "standard quantum limit at the disentangling time")
     return parser
 
 
@@ -280,9 +266,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _outdir(cfg: RunConfig) -> str:
+    """-o names the output directory of fig2 and power-scaling."""
     if cfg.out is not None:
         return cfg.out
     return os.environ.get(OUTDIR_ENV, ".")
+
+
+def _out_file(cfg: RunConfig, name: str) -> str:
+    """-o names the output file of sweep, sql and validate."""
+    path = cfg.out or os.path.join(os.environ.get(OUTDIR_ENV, "."), name)
+    if os.path.isdir(path):
+        raise ConfigError(f"out: {path} is a directory; {cfg.command} writes one file")
+    return path
 
 
 def _num_tag(x: float) -> str:
@@ -305,42 +300,32 @@ def _curve_summary(curve: analysis.SensitivityCurve) -> str:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    out = _out_file(cfg, f"sweep_{cfg.model}.{cfg.format}")
     spec = analysis.SweepSpec(
         cfg.model, cfg.tmin_scaled, cfg.tmax_scaled, cfg.points,
         (cfg.s,), (cfg.n_th,), cfg.params,
     )
     curve = analysis.run_sweep(spec)[0]
-    out = cfg.out or os.path.join(
-        os.environ.get(OUTDIR_ENV, "."), f"sweep_{cfg.model}.{cfg.format}"
-    )
     _atomic_write(out, emit_curve(curve, cfg.format))
     print(f"sweep {cfg.model}: {_curve_summary(curve)} -> {out}")
     return 0
 
 
 def _cmd_fig2(cfg: RunConfig) -> int:
-    models = ["cavityless", "cavity"] if cfg.model == "both" else [cfg.model]
+    models = list(analysis.SCHEMES) if cfg.model == "both" else [cfg.model]
     outdir = _outdir(cfg)
-    written = []
-    for model in models:
-        t_stop = 2 * math.pi if model == "cavityless" else 4 * math.pi
-        for s, n_th in analysis.FIG2_CASES:
-            spec = analysis.SweepSpec(
-                model, 0.0, t_stop, cfg.points, (s,), (n_th,), cfg.params
-            )
-            curve = analysis.run_sweep(spec)[0]
-            name = f"{model}_{_num_tag(s)}_{_num_tag(n_th)}.{cfg.format}"
-            path = os.path.join(outdir, name)
-            _atomic_write(path, emit_curve(curve, cfg.format))
-            written.append(path)
-            print(f"fig2 {model} s={_num_tag(s)} n_th={_num_tag(n_th)}: "
-                  f"{_curve_summary(curve)} -> {path}")
-    print(f"fig2: wrote {len(written)} curves")
+    curves = analysis.fig2_curves(cfg.params, cfg.points, models)
+    for c in curves:
+        s, n_th = _num_tag(c.s), _num_tag(c.n_th)
+        path = os.path.join(outdir, f"{c.model}_{s}_{n_th}.{cfg.format}")
+        _atomic_write(path, emit_curve(c, cfg.format))
+        print(f"fig2 {c.model} s={s} n_th={n_th}: {_curve_summary(c)} -> {path}")
+    print(f"fig2: wrote {len(curves)} curves")
     return 0
 
 
 def _cmd_power_scaling(cfg: RunConfig) -> int:
-    models = ["cavityless", "cavity"] if cfg.model == "both" else [cfg.model]
+    models = list(analysis.SCHEMES) if cfg.model == "both" else [cfg.model]
     outdir = _outdir(cfg)
     multipliers = tuple(np.logspace(-2, 2, 41))
     for model in models:
@@ -382,10 +367,8 @@ def _cmd_power_scaling(cfg: RunConfig) -> int:
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
+    out = _out_file(cfg, "validation_ledger.json")
     report = analysis.validation_ledger(cfg.params)
-    out = cfg.out or os.path.join(
-        os.environ.get(OUTDIR_ENV, "."), "validation_ledger.json"
-    )
     _atomic_write(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     for entry in report["entries"]:
         status = "ok" if entry["pass"] else "FAIL"
@@ -399,12 +382,10 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 
 def _cmd_sql(cfg: RunConfig) -> int:
+    out = _out_file(cfg, f"sql_{cfg.model}.{cfg.format}")
     t = analysis.disentangling_time(cfg.model, cfg.params)
     value = analysis.sql_baseline(cfg.model, cfg.params, t)
-    t_scaled = math.pi if cfg.model == "cavityless" else 2 * math.pi
-    out = cfg.out or os.path.join(
-        os.environ.get(OUTDIR_ENV, "."), f"sql_{cfg.model}.{cfg.format}"
-    )
+    t_scaled = analysis.SCHEMES[cfg.model].T_STAR
     if cfg.format == "csv":
         text = f"model,t_scaled,f_min\n{cfg.model},{fmt17(t_scaled)},{fmt17(value)}\n"
     else:

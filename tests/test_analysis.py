@@ -28,7 +28,7 @@ def test_run_sweep_basic():
     assert curve.snr_per_f[0] == 0.0
     assert_allclose(curve.noise[0], 0.5)
     # records agree with the model module
-    p = analysis.cavityless_params(analysis.DEFAULT_PARAMS)
+    p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
     t20 = curve.t_scaled[20] / p.Theta
     assert_allclose(curve.signal_per_f[20], cl.signal(p, t20), rtol=1e-14)
     assert_allclose(curve.f_min[20], cl.f_min(p, t20, 0.0, 0.0), rtol=1e-12)
@@ -43,15 +43,34 @@ def test_run_sweep_deterministic():
     assert np.array_equal(a.noise, b.noise)
 
 
-def test_run_sweep_spot_check_catches_wrong_closed_form(monkeypatch):
-    # sabotage the closed-form signal: the RK4 spot check must abort the run
-    monkeypatch.setattr(cl, "signal", lambda p, t: 0.123)
-    spec = analysis.SweepSpec("cavityless", 0.0, np.pi, 11, (0.0,), (0.0,))
+@pytest.mark.parametrize("model", ["cavityless", "cavity"])
+def test_run_sweep_spot_check_catches_wrong_closed_form(model, monkeypatch):
+    # sabotage the closed-form signal on the module, after import: the sweep
+    # looks it up at call time, and the RK4 spot check must abort the run
+    monkeypatch.setattr(analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
+    spec = analysis.SweepSpec(model, 0.0, np.pi, 11, (0.0,), (0.0,))
     with pytest.raises(RuntimeError, match="spot-check"):
         analysis.run_sweep(spec)
     # and can be bypassed explicitly
     curves = analysis.run_sweep(spec, spot_check=False)
     assert len(curves) == 1
+    assert np.all(curves[0].signal_per_f == 0.123)
+
+
+def test_spot_check_fails_on_nan():
+    p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
+    t = np.array([1.0 / p.Theta])
+    sig, noise = cl.readout(p, t[0], 0.0, 0.0)
+    analysis._spot_check("cavityless", p, t, 0.0, 0.0, [sig], [noise])
+    for bad in ([np.nan], [noise]), ([sig], [np.nan]):
+        with pytest.raises(RuntimeError, match="deviation=nan"):
+            analysis._spot_check("cavityless", p, t, 0.0, 0.0, *bad)
+
+
+def test_run_sweep_rejects_non_finite_values():
+    spec = analysis.SweepSpec("cavity", 0.0, np.pi, 11, (400.0,), (0.0,))
+    with pytest.raises(ValueError, match="noise: not finite"):
+        analysis.run_sweep(spec)
 
 
 def test_fig2_curves():
@@ -69,7 +88,7 @@ def test_sql_baseline_frozen_values():
     params = analysis.DEFAULT_PARAMS
     t_cl = analysis.disentangling_time("cavityless", params)
     t_cv = analysis.disentangling_time("cavity", params)
-    assert_allclose(t_cl * analysis.cavityless_params(params).Theta, np.pi)
+    assert_allclose(t_cl * cl.params_from_ratios(params).Theta, np.pi)
     assert_allclose(t_cv, 2 * np.pi)
     assert_allclose(analysis.sql_baseline("cavityless", params, t_cl),
                     0.5048645724184414, rtol=1e-13)
@@ -106,7 +125,7 @@ def test_power_scaling_validation():
 
 def test_signal_dominant_frequencies():
     params = analysis.DEFAULT_PARAMS
-    p = analysis.cavityless_params(params)
+    p = cl.params_from_ratios(params)
     freqs = analysis.signal_dominant_frequencies("cavityless", params)
     assert len(freqs) == 2
     # the two beat frequencies, frozen: [0.22497, 2.31722] ~ (Theta, Omega)

@@ -160,8 +160,8 @@ def test_thermal_cancellation_at_pi():
 def test_snr_and_f_min_consistency():
     t = 1.7 / P.Theta
     s, n_th = 0.4, 3.0
-    assert_allclose(cl.snr(P, t, s, n_th) * cl.f_min(P, t, s, n_th),
-                    P.force, rtol=1e-12)
+    snr = abs(cl.signal(P, t)) / np.sqrt(cl.noise(P, t, s, n_th))
+    assert_allclose(snr * cl.f_min(P, t, s, n_th), P.force, rtol=1e-12)
     assert cl.f_min(P, 0.0, s, n_th) == np.inf
 
 
@@ -193,4 +193,4 @@ def test_f_min_at_pi_integer_ratio_warns():
 
 def test_z_observables():
     assert_allclose(cl.z_i_observable().coeffs, [0, 1, 0, 0, 0, 1])
-    assert_allclose(cl.z_r_observable().coeffs, [-1, 0, 0, 0, 1, 0])
+    assert cl.readout_observable is cl.z_i_observable

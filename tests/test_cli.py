@@ -92,6 +92,33 @@ def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "points" in err
 
 
+BAD_INPUTS = [
+    (["sweep", "--f", "0"], "f"),
+    (["fig2", "--f", "0"], "f"),
+    (["sql", "--f", "0"], "f"),
+    (["sweep", "--f", "nan"], "f"),
+    (["sweep", "--n-th", "nan"], "n_th"),
+    (["sweep", "--model", "cavity", "--s", "400"], "noise"),
+    (["sweep", "--model", "cavityless", "--s", "400"], "noise"),
+    (["sweep", "-o", "DIR"], "out"),
+    (["sql", "-o", "DIR"], "out"),
+    (["validate", "-o", "DIR"], "out"),
+]
+
+
+@pytest.mark.parametrize("argv, field", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_input_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, capsys):
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    argv = [str(existing) if a == "DIR" else a for a in argv]
+    code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert f"error: {field}: " in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
+
+
 def test_missing_config_file_exit_code(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["--config", str(tmp_path / "nope.cfg"), "sweep"],
