@@ -127,13 +127,17 @@ def run_sweep(spec: SweepSpec, spot_check: bool = True) -> list[SensitivityCurve
             noi = np.empty(spec.n_points)
             for i, t in enumerate(times):
                 sig[i], noi[i] = scheme.readout(p, t, s, n_th)
-            for name, values in (("signal_per_f", sig), ("noise", noi)):
-                bad = np.flatnonzero(~np.isfinite(values))
+            overflow = "the inputs overflow the closed forms"
+            for name, bad, what, why in (
+                ("signal_per_f", ~np.isfinite(sig), "not finite", overflow),
+                ("noise", ~np.isfinite(noi), "not finite", overflow),
+                ("noise", noi < 0, "negative", "the closed forms lose their precision"),
+            ):
+                bad = np.flatnonzero(bad)
                 if bad.size:
                     raise ValueError(
-                        f"{name}: not finite at t_scaled={t_scaled[bad[0]]:.6g} "
-                        f"(model={spec.model} s={s} n_th={n_th}); the inputs "
-                        "overflow the closed forms"
+                        f"{name}: {what} at t_scaled={t_scaled[bad[0]]:.6g} "
+                        f"(model={spec.model} s={s} n_th={n_th}); {why}"
                     )
             with np.errstate(divide="ignore"):
                 fmin = np.where(sig != 0.0, np.sqrt(noi) / np.abs(sig), np.inf)
@@ -220,6 +224,14 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
             p = scheme.power_scaled(base, m)
             in_regime[i] = scheme.in_regime(p)
             fmin[i] = scheme.f_min_at_t_star(p, spec.s)
+    # inf is legal (a vanishing signal); NaN or <= 0 means a negative variance
+    bad = np.flatnonzero(~(fmin > 0))
+    if bad.size:
+        raise ValueError(
+            f"f_min: {float(fmin[bad[0]])} at power multiplier {mult[bad[0]]:.6g} "
+            f"(model={spec.model} s={spec.s}); the closed forms lose their "
+            "precision at this squeezing"
+        )
 
     def slope(idx) -> float:
         x, y = np.log(mult[idx]), np.log(fmin[idx])

@@ -5,7 +5,8 @@ precedence is CLI flag > config file (key=value lines, # comments) >
 documented default.  Outputs are CSV (default) or JSON, written atomically
 (temp file + rename); floats are serialized with 17 significant digits so
 parsing reproduces them bit-exactly; non-finite values appear as lowercase
-"inf"/"nan".  Exit codes: 0 success, 1 validation failure, 2 config error.
+"inf"/"nan", strings in JSON.  Exit codes: 0 success, 1 validation failure,
+2 invalid input or a result outside its domain (overflow, negative variance).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +41,8 @@ DEFAULTS = {
 }
 
 _FLOAT_KEYS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, float))
-_INT_KEYS = {"points"}
+_GRID_KEYS = ("tmin_scaled", "tmax_scaled", "points")
+_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -61,14 +64,13 @@ class RunConfig:
 
 
 def _coerce(key: str, raw: str):
+    kind = type(DEFAULTS[key])
+    if kind not in (int, float):
+        return raw
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: malformed number {raw!r}") from None
-    return raw
 
 
 def parse_config_file(text: str) -> dict:
@@ -86,16 +88,6 @@ def parse_config_file(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         out[key] = _coerce(key, raw)
     return out
-
-
-def _models(command: str) -> tuple[list[str], str | None]:
-    """(valid --model values, default model) of one command."""
-    schemes = list(analysis.SCHEMES)
-    if command in ("fig2", "power-scaling"):
-        return [*schemes, "both"], "both"
-    if command == "validate":
-        return [], None
-    return schemes, schemes[0]
 
 
 def _validate(cfg: dict, command: str) -> None:
@@ -118,20 +110,18 @@ def _validate(cfg: dict, command: str) -> None:
         raise ConfigError(
             "tmax_scaled: times must satisfy 0 <= tmin_scaled < tmax_scaled"
         )
-    if cfg["format"] not in ("csv", "json"):
+    if cfg["format"] not in _FORMATS:
         raise ConfigError(f"format: unknown format {cfg['format']!r}")
-    choices, default = _models(command)
-    model = cfg["model"]
-    if model is None:
-        cfg["model"] = default
-    elif model not in choices:
-        raise ConfigError(f"model: {model!r} not valid for {command}")
+    spec = COMMANDS[command]
+    if cfg["model"] is None:
+        cfg["model"] = spec.model
+    elif cfg["model"] not in spec.models:
+        raise ConfigError(f"model: {cfg['model']!r} not valid for {command}")
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Merge CLI flags over config file over defaults into a RunConfig."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     cfg = dict(DEFAULTS)
     if ns.config is not None:
         try:
@@ -140,26 +130,16 @@ def parse_config(argv: list[str]) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"config: cannot read {ns.config}: {exc}") from None
     for key in DEFAULTS:
-        flag = getattr(ns, key.replace("-", "_"), None)
-        if flag is not None:
-            cfg[key] = flag
+        if getattr(ns, key, None) is not None:
+            cfg[key] = getattr(ns, key)
     _validate(cfg, ns.command)
     params = {key: cfg[key] for key in analysis.DEFAULT_PARAMS}
-    return RunConfig(
-        command=ns.command,
-        model=cfg["model"],
-        format=cfg["format"],
-        out=cfg["out"],
-        s=cfg["s"],
-        n_th=cfg["n_th"],
-        tmin_scaled=cfg["tmin_scaled"],
-        tmax_scaled=cfg["tmax_scaled"],
-        points=cfg["points"],
-        params=params,
-    )
+    named = {f.name: cfg[f.name] for f in fields(RunConfig) if f.name in cfg}
+    return RunConfig(command=ns.command, params=params, **named)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry; each numeric DEFAULTS key is a flag."""
     parser = argparse.ArgumentParser(
         prog="optoforce",
         description="Quantum-limited optomechanical force-sensing curves",
@@ -167,29 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, summary):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--model", choices=_models(name)[0])
-        p.add_argument("--format", choices=["csv", "json"])
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        p.add_argument("--model", choices=spec.models)
+        p.add_argument("--format", choices=_FORMATS)
         p.add_argument("-o", "--out", help="output file or directory")
-        p.add_argument("--theta-over-chi", type=float, dest="theta_over_chi")
-        p.add_argument("--omega-over-theta", type=float, dest="omega_over_theta")
-        p.add_argument("--g-alpha-over-omega", type=float, dest="g_alpha_over_omega")
-        p.add_argument("--s", type=float)
-        p.add_argument("--n-th", type=float, dest="n_th")
-        p.add_argument("--f", type=float)
-        return p
-
-    p = command("sweep", "time sweep for one model and (s, n_th)")
-    p.add_argument("--tmin-scaled", type=float, dest="tmin_scaled")
-    p.add_argument("--tmax-scaled", type=float, dest="tmax_scaled")
-    p.add_argument("--points", type=int)
-    p = command("fig2", "the six figure curves (SQL, thermal, squeezed)")
-    p.add_argument("--points", type=int)
-    command("power-scaling", "f_min versus laser-power multiplier")
-    command("validate", "oracle validation ledger")
-    command("sql", "standard quantum limit at the disentangling time")
+        # flag order in the usage text: the ratios, s, n_th, f, then the time grid
+        for key in sorted(DEFAULTS, key=lambda k: (k in _GRID_KEYS, k == "f")):
+            value = DEFAULTS[key]
+            if isinstance(value, (int, float)) and (key not in _GRID_KEYS or key in spec.grid):
+                p.add_argument("--" + key.replace("_", "-"), type=type(value))
     return parser
 
 
@@ -199,46 +166,47 @@ def build_parser() -> argparse.ArgumentParser:
 
 def fmt17(x: float) -> str:
     """17-significant-digit float text; round-trips bit-exactly."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def _jsonable(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return fmt17(x)
+    """x with every non-finite float, at any depth, as its fmt17 text."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else fmt17(x)
+    if isinstance(x, dict):
+        return {key: _jsonable(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(value) for value in x]
     return x
+
+
+def _json(doc: dict, records: list | None = None) -> str:
+    """The text of every JSON output; ``records`` must be free of non-finite floats."""
+    doc = _jsonable(doc)
+    if records is not None:
+        doc["records"] = records
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _emit_table(columns: dict, fmt: str, doc: dict) -> str:
+    """CSV under a header of the column names (bools as 0/1), or JSON as
+    ``doc`` plus one record per row under "records"."""
+    names = list(columns)
+    arrays = [np.asarray(column) for column in columns.values()]
+    values = [array.tolist() for array in arrays]
+    if fmt == "csv":
+        row = ",".join(["%.17g"] * len(names))
+        return "\n".join([",".join(names), *(row % r for r in zip(*values))]) + "\n"
+    for array, column in zip(arrays, values):
+        for i in np.flatnonzero(~np.isfinite(array)):
+            column[i] = fmt17(column[i])
+    return _json(doc, [dict(zip(names, r)) for r in zip(*values)])
 
 
 def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> str:
     """Serialize one curve as CSV (fixed header) or JSON (records + metadata)."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for rec in zip(
-            curve.t_scaled, curve.signal_per_f, curve.noise,
-            curve.snr_per_f, curve.f_min,
-        ):
-            lines.append(",".join(fmt17(v) for v in rec))
-        return "\n".join(lines) + "\n"
-    records = [
-        {
-            "t_scaled": _jsonable(float(t)),
-            "signal_per_f": _jsonable(float(sg)),
-            "noise": _jsonable(float(n)),
-            "snr_per_f": _jsonable(float(r)),
-            "f_min": _jsonable(float(fm)),
-        }
-        for t, sg, n, r, fm in zip(
-            curve.t_scaled, curve.signal_per_f, curve.noise,
-            curve.snr_per_f, curve.f_min,
-        )
-    ]
-    return json.dumps(
-        {"metadata": curve.metadata, "records": records},
-        indent=2, sort_keys=True, allow_nan=False,
-    ) + "\n"
+    columns = {name: getattr(curve, name) for name in CSV_HEADER.split(",")}
+    return _emit_table(columns, fmt, {"metadata": curve.metadata})
 
 
 def parse_curve_csv(text: str) -> dict[str, np.ndarray]:
@@ -267,9 +235,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _outdir(cfg: RunConfig) -> str:
     """-o names the output directory of fig2 and power-scaling."""
-    if cfg.out is not None:
-        return cfg.out
-    return os.environ.get(OUTDIR_ENV, ".")
+    path = cfg.out if cfg.out is not None else os.environ.get(OUTDIR_ENV, ".")
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"out: {path} is a file; {cfg.command} writes into a directory")
+    return path
 
 
 def _out_file(cfg: RunConfig, name: str) -> str:
@@ -328,38 +297,21 @@ def _cmd_power_scaling(cfg: RunConfig) -> int:
     models = list(analysis.SCHEMES) if cfg.model == "both" else [cfg.model]
     outdir = _outdir(cfg)
     multipliers = tuple(np.logspace(-2, 2, 41))
-    for model in models:
-        spec = analysis.PowerScalingSpec(model, multipliers, cfg.params, cfg.s)
-        table = analysis.power_scaling(spec)
-        if cfg.format == "csv":
-            lines = ["power_multiplier,f_min,in_regime"]
-            for m, fm, ok in zip(
-                table["multipliers"], table["f_min"], table["in_regime"]
-            ):
-                lines.append(f"{fmt17(m)},{fmt17(fm)},{int(ok)}")
-            text = "\n".join(lines) + "\n"
-        else:
-            text = json.dumps(
-                {
-                    "model": model,
-                    "slope_small_power": table["slope_small_power"],
-                    "slope_large_power": table["slope_large_power"],
-                    "records": [
-                        {"power_multiplier": m, "f_min": _jsonable(fm),
-                         "in_regime": bool(ok)}
-                        for m, fm, ok in zip(
-                            table["multipliers"].tolist(),
-                            table["f_min"].tolist(),
-                            table["in_regime"].tolist(),
-                        )
-                    ],
-                },
-                indent=2, sort_keys=True, allow_nan=False,
-            ) + "\n"
-        path = os.path.join(outdir, f"power_{model}.{cfg.format}")
+    tables = [
+        analysis.power_scaling(analysis.PowerScalingSpec(model, multipliers, cfg.params, cfg.s))
+        for model in models
+    ]
+    for table in tables:
+        text = _emit_table(
+            {"power_multiplier": table["multipliers"], "f_min": table["f_min"],
+             "in_regime": table["in_regime"]},
+            cfg.format,
+            {key: table[key] for key in ("model", "slope_small_power", "slope_large_power")},
+        )
+        path = os.path.join(outdir, f"power_{table['model']}.{cfg.format}")
         _atomic_write(path, text)
         print(
-            f"power-scaling {model}: slopes "
+            f"power-scaling {table['model']}: slopes "
             f"small={table['slope_small_power']:+.3f} "
             f"large={table['slope_large_power']:+.3f} -> {path}"
         )
@@ -369,7 +321,7 @@ def _cmd_power_scaling(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     out = _out_file(cfg, "validation_ledger.json")
     report = analysis.validation_ledger(cfg.params)
-    _atomic_write(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out, _json(report))
     for entry in report["entries"]:
         status = "ok" if entry["pass"] else "FAIL"
         print(
@@ -389,43 +341,51 @@ def _cmd_sql(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         text = f"model,t_scaled,f_min\n{cfg.model},{fmt17(t_scaled)},{fmt17(value)}\n"
     else:
-        text = json.dumps(
-            {"model": cfg.model, "t_scaled": t_scaled, "f_min": _jsonable(value)},
-            indent=2, sort_keys=True, allow_nan=False,
-        ) + "\n"
+        text = _json({"model": cfg.model, "t_scaled": t_scaled, "f_min": value})
     _atomic_write(out, text)
     print(f"sql {cfg.model}: f_min={fmt17(value)} at t_scaled={fmt17(t_scaled)} -> {out}")
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    handler = {
-        "sweep": _cmd_sweep,
-        "fig2": _cmd_fig2,
-        "power-scaling": _cmd_power_scaling,
-        "validate": _cmd_validate,
-        "sql": _cmd_sql,
-    }[cfg.command]
-    try:
-        return handler(cfg)
-    except RuntimeError as exc:  # oracle spot-check abort
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # parameter invariant violated at model level
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: what runs it, its help line and the flags it takes."""
+
+    handler: Callable[[RunConfig], int]
+    help: str
+    models: tuple[str, ...]  # the valid --model values
+    model: str | None  # the default --model
+    grid: tuple[str, ...] = ()  # the time-grid keys it takes as flags
+
+
+_ONE = tuple(analysis.SCHEMES)
+_BOTH = (*_ONE, "both")
+
+COMMANDS = {
+    "sweep": Command(_cmd_sweep, "time sweep for one model and (s, n_th)",
+                     _ONE, _ONE[0], _GRID_KEYS),
+    "fig2": Command(_cmd_fig2, "the six figure curves (SQL, thermal, squeezed)",
+                    _BOTH, "both", ("points",)),
+    "power-scaling": Command(_cmd_power_scaling, "f_min versus laser-power multiplier",
+                             _BOTH, "both"),
+    "validate": Command(_cmd_validate, "oracle validation ledger", (), None),
+    "sql": Command(_cmd_sql, "standard quantum limit at the disentangling time",
+                   _ONE, _ONE[0]),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
+        return COMMANDS[cfg.command].handler(cfg)
+    except RuntimeError as exc:  # oracle spot-check abort
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as exc:  # input or result outside its domain
+        if isinstance(exc, ArithmeticError):  # a Python float overflowed
+            exc = f"the inputs overflow the closed forms ({exc})"
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(cfg)
 
 
 if __name__ == "__main__":

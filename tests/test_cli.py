@@ -119,6 +119,38 @@ def test_bad_input_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, 
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
 
+# Inputs whose computation overflows or loses its precision, and an -o that
+# names an existing file where a directory is expected.
+WRITES_NOTHING = [
+    (["fig2", "-o", "FILE"], "out: "),
+    (["power-scaling", "-o", "FILE"], "out: "),
+    (["sweep", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+    (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+    (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+    (["validate", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+    (["sweep", "--theta-over-chi", "1e200"], "the inputs overflow"),
+    (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
+    (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
+    (["power-scaling", "--s", "400"], "f_min: "),
+    (["power-scaling", "--model", "cavity", "--s", "400"], "f_min: "),
+    (["power-scaling", "--s", "400", "--format", "json"], "f_min: "),
+]
+
+
+@pytest.mark.parametrize("argv, message", WRITES_NOTHING,
+                         ids=[" ".join(argv) for argv, _ in WRITES_NOTHING])
+def test_bad_result_exits_2_writing_nothing(argv, message, tmp_path, monkeypatch, capsys):
+    existing = tmp_path / "existing"
+    existing.write_text("keep")
+    argv = [str(existing) if a == "FILE" else a for a in argv]
+    code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.count("error: ") == 1 and f"error: {message}" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
+    assert existing.read_text() == "keep"
+
+
 def test_missing_config_file_exit_code(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["--config", str(tmp_path / "nope.cfg"), "sweep"],
@@ -210,6 +242,52 @@ def test_power_scaling_command(tmp_path, monkeypatch, capsys):
     assert lines[0] == "power_multiplier,f_min,in_regime"
     assert len(lines) == 42
     assert "small=-0.5" in out and "large=+0.5" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_power_scaling_formats(fmt, tmp_path, monkeypatch, capsys):
+    power_scaling = cli.analysis.power_scaling
+
+    def with_vanishing_signal(spec):
+        table = power_scaling(spec)
+        table["f_min"][0] = np.inf
+        return table
+
+    monkeypatch.setattr(cli.analysis, "power_scaling", with_vanishing_signal)
+    code, _, _ = run_cli(["power-scaling", "--model", "cavityless", "--format", fmt],
+                         tmp_path, monkeypatch, capsys)
+    assert code == 0
+    text = (tmp_path / f"power_cavityless.{fmt}").read_text()
+    if fmt == "csv":
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert rows[0][1] == "inf"
+        assert {row[2] for row in rows} == {"0", "1"}
+    else:
+        records = json.loads(text)["records"]
+        assert records[0]["f_min"] == "inf"
+        assert {r["in_regime"] for r in records} == {True, False}
+        assert '"in_regime": true' in text and '"in_regime": false' in text
+
+
+def test_validate_writes_strict_json(tmp_path, monkeypatch, capsys):
+    entry = {
+        "formula": "a formula", "pass": False,
+        "engine_vs_adopted_max_deviation": float("nan"),
+        "engine_vs_literal_max_deviation": float("inf"),
+    }
+    report = {"healthy": False, "entries": [entry], "params": {}, "version": "0"}
+    monkeypatch.setattr(cli.analysis, "validation_ledger", lambda params: report)
+    code, out, _ = run_cli(["validate"], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "UNHEALTHY" in out and "adopted dev nan" in out
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    text = (tmp_path / "validation_ledger.json").read_text()
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["entries"][0]["engine_vs_adopted_max_deviation"] == "nan"
+    assert doc["entries"][0]["engine_vs_literal_max_deviation"] == "inf"
 
 
 def test_validate_command(tmp_path, monkeypatch, capsys):
