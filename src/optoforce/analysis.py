@@ -15,6 +15,11 @@ SPOT_CHECKS_PER_CURVE = 5
 
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]
 
+# the sampling and the peak threshold of signal_dominant_frequencies
+SPECTRUM_CYCLES = 40.0
+SPECTRUM_SAMPLES = 8192
+SPECTRUM_PEAK_FRACTION = 0.1
+
 DEFAULT_PARAMS = {
     "theta_over_chi": 1.025,
     "omega_over_theta": 10.3,
@@ -25,8 +30,8 @@ DEFAULT_PARAMS = {
 
 #: The two measurement schemes.  Each module supplies the same names:
 #: params_from_ratios, time_unit, T_STAR (the scaled disentangling time),
-#: signal, readout, meter_state, readout_observable, generator, f_min,
-#: VACUUM_METER, f_min_at_t_star, power_scaled and in_regime.  Callers look them up on the
+#: signal, readout, meter_state, readout_observable, generator,
+#: f_min_at_t_star, power_scaled and in_regime.  Callers look them up on the
 #: module at call time, so that a wrapper or patch set on the module later is
 #: seen.  The oracle side of a spot-check takes only generator, meter_state and
 #: readout_observable from a scheme, never its closed forms.
@@ -35,14 +40,14 @@ SCHEMES = {"cavityless": cavityless, "cavity": cavity}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Time sweep over a grid of scaled time (Theta*t or Omega*t)."""
+    """One curve at (s, n_th) over a grid of scaled time (Theta*t or Omega*t)."""
 
     model: str
     t_start: float = 0.0
     t_stop: float = 2.0 * np.pi
     n_points: int = 401
-    s_values: tuple = (0.0,)
-    n_th_values: tuple = (0.0,)
+    s: float = 0.0
+    n_th: float = 0.0
     params: dict = field(default_factory=lambda: dict(DEFAULT_PARAMS))
 
     def __post_init__(self):
@@ -113,51 +118,51 @@ def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise
             )
 
 
-def run_sweep(spec: SweepSpec, spot_check: bool = True) -> list[SensitivityCurve]:
-    """One deterministic curve per (s, n_th) pair, oracle-spot-checked."""
+def _f_min(model: str, t_scaled, sig, noi, s: float, n_th: float):
+    """(f_min, snr) per unit f from the closed-form signal/f and noise at the
+    scaled times; raises ValueError naming the first value that is not finite
+    or is a negative variance."""
+    overflow = "the inputs overflow the closed forms"
+    for name, bad, what, why in (
+        ("signal_per_f", ~np.isfinite(sig), "not finite", overflow),
+        ("noise", ~np.isfinite(noi), "not finite", overflow),
+        ("noise", noi < 0, "negative", "the closed forms lose their precision"),
+    ):
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            raise ValueError(
+                f"{name}: {what} at t_scaled={t_scaled[bad[0]]:.6g} "
+                f"(model={model} s={s} n_th={n_th}); {why}"
+            )
+    with np.errstate(divide="ignore"):
+        fmin = np.where(sig != 0.0, np.sqrt(noi) / np.abs(sig), np.inf)
+        snr = np.where(np.isfinite(fmin), 1.0 / fmin, 0.0)
+    return fmin, snr
+
+
+def run_sweep(spec: SweepSpec) -> SensitivityCurve:
+    """The curve of spec, oracle-spot-checked at a few grid points."""
     scheme = SCHEMES[spec.model]
     p = scheme.params_from_ratios(spec.params)
     t_scaled = np.linspace(spec.t_start, spec.t_stop, spec.n_points)
     times = t_scaled / scheme.time_unit(p)
+    s, n_th = spec.s, spec.n_th
 
-    curves = []
-    for s in spec.s_values:
-        for n_th in spec.n_th_values:
-            sig = np.empty(spec.n_points)
-            noi = np.empty(spec.n_points)
-            for i, t in enumerate(times):
-                sig[i], noi[i] = scheme.readout(p, t, s, n_th)
-            overflow = "the inputs overflow the closed forms"
-            for name, bad, what, why in (
-                ("signal_per_f", ~np.isfinite(sig), "not finite", overflow),
-                ("noise", ~np.isfinite(noi), "not finite", overflow),
-                ("noise", noi < 0, "negative", "the closed forms lose their precision"),
-            ):
-                bad = np.flatnonzero(bad)
-                if bad.size:
-                    raise ValueError(
-                        f"{name}: {what} at t_scaled={t_scaled[bad[0]]:.6g} "
-                        f"(model={spec.model} s={s} n_th={n_th}); {why}"
-                    )
-            with np.errstate(divide="ignore"):
-                fmin = np.where(sig != 0.0, np.sqrt(noi) / np.abs(sig), np.inf)
-                snr = np.where(np.isfinite(fmin), 1.0 / fmin, 0.0)
-            if spot_check:
-                seed = zlib.crc32(f"{spec.model}/{s}/{n_th}".encode())
-                rng = np.random.default_rng(seed)
-                idx = np.sort(rng.choice(
-                    np.arange(1, spec.n_points),
-                    size=min(SPOT_CHECKS_PER_CURVE, spec.n_points - 1),
-                    replace=False,
-                ))
-                _spot_check(spec.model, p, times[idx], s, n_th, sig[idx], noi[idx])
-            curves.append(
-                SensitivityCurve(
-                    spec.model, s, n_th, dict(spec.params),
-                    t_scaled, sig, noi, snr, fmin,
-                )
-            )
-    return curves
+    sig = np.empty(spec.n_points)
+    noi = np.empty(spec.n_points)
+    for i, t in enumerate(times):
+        sig[i], noi[i] = scheme.readout(p, t, s, n_th)
+    fmin, snr = _f_min(spec.model, t_scaled, sig, noi, s, n_th)
+    rng = np.random.default_rng(zlib.crc32(f"{spec.model}/{s}/{n_th}".encode()))
+    idx = np.sort(rng.choice(
+        np.arange(1, spec.n_points),
+        size=min(SPOT_CHECKS_PER_CURVE, spec.n_points - 1),
+        replace=False,
+    ))
+    _spot_check(spec.model, p, times[idx], s, n_th, sig[idx], noi[idx])
+    return SensitivityCurve(
+        spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin
+    )
 
 
 def fig2_curves(
@@ -166,21 +171,23 @@ def fig2_curves(
     """The Fig.-2 style curves, (s, n_th) in the caption triple, to twice the
     disentangling time: six with both models."""
     params = dict(DEFAULT_PARAMS, **(params or {}))
-    out = []
-    for model in models:
-        t_stop = 2 * SCHEMES[model].T_STAR
-        for s, n_th in FIG2_CASES:
-            spec = SweepSpec(
-                model, 0.0, t_stop, n_points, (s,), (n_th,), params
-            )
-            out.extend(run_sweep(spec))
-    return out
+    return [
+        run_sweep(SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, s, n_th, params))
+        for model in models
+        for s, n_th in FIG2_CASES
+    ]
 
 
 def sql_baseline(model: str, params: dict, t: float) -> float:
-    """f_min with vacuum meter and zero-temperature probe (s = n_th = 0)."""
+    """f_min with vacuum meter and zero-temperature probe (s = n_th = 0) at
+    time t, checked like one sweep point and spot-checked by the oracle."""
     scheme = SCHEMES[model]
-    return scheme.f_min(scheme.params_from_ratios(params), t, scheme.VACUUM_METER, 0.0)
+    p = scheme.params_from_ratios(params)
+    sig, noi = scheme.readout(p, t, 0.0, 0.0)
+    t_scaled = np.array([t * scheme.time_unit(p)])
+    fmin, _ = _f_min(model, t_scaled, np.array([sig]), np.array([noi]), 0.0, 0.0)
+    _spot_check(model, p, [t], 0.0, 0.0, [sig], [noi])
+    return float(fmin[0])
 
 
 def disentangling_time(model: str, params: dict) -> float:
@@ -251,28 +258,26 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     }
 
 
-def signal_dominant_frequencies(
-    model: str, params: dict, n_cycles: float = 40.0, n_samples: int = 8192,
-    threshold: float = 0.1,
-) -> np.ndarray:
+def signal_dominant_frequencies(model: str, params: dict) -> np.ndarray:
     """Dominant angular frequencies in the signal's oscillatory part.
 
-    Samples signal(t) over n_cycles of the slower frequency, removes the
-    linear trend, Hann-windows and FFTs; returns the frequencies of local
-    spectral maxima above threshold * global maximum.  The cavityless
-    signal beats at both Theta and Omega; the cavity signal only at Omega.
+    Samples signal(t) over SPECTRUM_CYCLES half-periods of the slower
+    frequency, removes the linear trend, Hann-windows and FFTs; returns the
+    frequencies of local spectral maxima above SPECTRUM_PEAK_FRACTION of the
+    global maximum.  The cavityless signal beats at both Theta and Omega; the
+    cavity signal only at Omega.
     """
     scheme = SCHEMES[model]
     p = scheme.params_from_ratios(params)
-    t_max = n_cycles * np.pi / scheme.time_unit(p)
-    t = np.linspace(0.0, t_max, n_samples)
+    t_max = SPECTRUM_CYCLES * np.pi / scheme.time_unit(p)
+    t = np.linspace(0.0, t_max, SPECTRUM_SAMPLES)
     y = np.array([scheme.signal(p, ti) for ti in t])
     y = y - np.polyval(np.polyfit(t, y, 1), t)
-    spectrum = np.abs(np.fft.rfft(y * np.hanning(n_samples)))
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(n_samples, d=t[1] - t[0])
+    spectrum = np.abs(np.fft.rfft(y * np.hanning(SPECTRUM_SAMPLES)))
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(SPECTRUM_SAMPLES, d=t[1] - t[0])
     peak = spectrum.max()
     is_max = (spectrum[1:-1] > spectrum[:-2]) & (spectrum[1:-1] > spectrum[2:])
-    keep = is_max & (spectrum[1:-1] > threshold * peak)
+    keep = is_max & (spectrum[1:-1] > SPECTRUM_PEAK_FRACTION * peak)
     return freqs[1:-1][keep]
 
 
@@ -303,6 +308,9 @@ def validation_ledger(params: dict | None = None) -> dict:
     params = dict(DEFAULT_PARAMS, **(params or {}))
     p = cavityless.params_from_ratios(params)
     q = cavity.params_from_ratios(params)
+    # the ledger's last cavity time: inputs that overflow the cavity closed
+    # forms stop here, before any RK4 entry is integrated
+    cavity.closed_propagator(q, 4 * np.pi / q.omega)
     Th, w = p.Theta, p.omega
     entries = []
 

@@ -26,6 +26,12 @@ from .gaussian import (
     thermal_state,
 )
 
+#: Omega in from_ratios: the mirror frequency sets the unit of time
+OMEGA = 1.0
+
+#: Grid size of the brute-force phi scan in scan_noise_over_phi
+PHI_SCAN_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -47,10 +53,9 @@ class CavityParams:
         return 2.0 * self.g_alpha / self.omega
 
     @classmethod
-    def from_ratios(
-        cls, g_alpha_over_omega: float, omega: float = 1.0, force: float = 1.0
-    ) -> "CavityParams":
-        return cls(g_alpha=g_alpha_over_omega * omega, omega=omega, force=force)
+    def from_ratios(cls, g_alpha_over_omega: float, force: float = 1.0) -> "CavityParams":
+        """Build from g*alpha/Omega with Omega = OMEGA."""
+        return cls(g_alpha=g_alpha_over_omega * OMEGA, omega=OMEGA, force=force)
 
 
 @dataclass(frozen=True)
@@ -203,21 +208,22 @@ def minimize_noise_over_phi(
 
 
 def scan_noise_over_phi(
-    params: CavityParams, t: float, s: float, n_th: float, n_points: int = 10_000
+    params: CavityParams, t: float, s: float, n_th: float
 ) -> tuple[float, float]:
-    """Brute-force phi scan over [0, pi) with local bounded refinement.
+    """Brute-force PHI_SCAN_POINTS-point phi scan over [0, pi) with local
+    bounded refinement.
 
     Independent cross-check of minimize_noise_over_phi; the two agree to
     better than 1e-8.
     """
-    phis = np.linspace(0.0, np.pi, n_points, endpoint=False)
+    phis = np.linspace(0.0, np.pi, PHI_SCAN_POINTS, endpoint=False)
 
     def cost(phi: float) -> float:
         return noise(params, t, MeterSqueezing(s, phi), n_th)
 
     values = np.array([cost(p) for p in phis])
     i = int(np.argmin(values))
-    h = np.pi / n_points
+    h = np.pi / PHI_SCAN_POINTS
     res = minimize_scalar(
         cost, bounds=(phis[i] - h, phis[i] + h), method="bounded",
         options={"xatol": 1e-12},
@@ -258,9 +264,6 @@ def f_min_2pi_literal(params: CavityParams, s: float) -> float:
 
 #: Scaled decorrelation time Omega*t at which the thermal noise cancels.
 T_STAR = 2.0 * np.pi
-
-#: The meter argument of f_min for an unsqueezed cavity meter.
-VACUUM_METER = MeterSqueezing(0.0, 0.0)
 
 # aliases: the original names keep their callers.  An alias is bound at
 # import, so a patch set later on the original name does not reach it.

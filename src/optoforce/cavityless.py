@@ -27,7 +27,6 @@ from .gaussian import (
     tensor,
     thermal_state,
     two_mode_squeezed,
-    variance,
 )
 
 #: Minimum Omega^2/Theta^2 before the model is flagged as outside its
@@ -35,6 +34,9 @@ from .gaussian import (
 REGIME_RATIO_MIN = 10.0
 
 _DEGENERATE_TOL = 1e-9
+
+#: chi in from_ratios: the Stokes coupling sets the unit of time
+CHI = 1.0
 
 
 class DegenerateResonanceError(ValueError):
@@ -71,19 +73,17 @@ class CavitylessParams:
 
     @classmethod
     def from_ratios(
-        cls,
-        theta_over_chi: float,
-        omega_over_theta: float,
-        chi: float = 1.0,
-        force: float = 1.0,
+        cls, theta_over_chi: float, omega_over_theta: float, force: float = 1.0
     ) -> "CavitylessParams":
-        """Build from the ratio-based parameterization (chi sets the time unit).
+        """Build from the ratio-based parameterization with chi = CHI.
 
         omega_over_theta is Omega/Theta, with Theta = sqrt(theta^2 - chi^2).
         """
-        theta = theta_over_chi * chi
-        Theta = np.sqrt(theta**2 - chi**2)
-        return cls(chi=chi, theta=theta, omega=omega_over_theta * Theta, force=force)
+        theta = theta_over_chi * CHI
+        # a Python float, as in the Theta property: Omega^2 then raises
+        # OverflowError instead of silently becoming inf
+        Theta = float(np.sqrt(theta**2 - CHI**2))
+        return cls(chi=CHI, theta=theta, omega=omega_over_theta * Theta, force=force)
 
 
 def drift_matrix(params: CavitylessParams) -> np.ndarray:
@@ -262,9 +262,6 @@ def f_min_at_pi_literal(params: CavitylessParams, s: float) -> float:
 
 #: Scaled disentangling time Theta*t at which the thermal noise cancels.
 T_STAR = np.pi
-
-#: The meter argument of f_min for unsqueezed sidebands (s = 0).
-VACUUM_METER = 0.0
 
 # aliases: the original names keep their callers.  An alias is bound at
 # import, so a patch set later on the original name does not reach it.

@@ -271,10 +271,9 @@ def _curve_summary(curve: analysis.SensitivityCurve) -> str:
 def _cmd_sweep(cfg: RunConfig) -> int:
     out = _out_file(cfg, f"sweep_{cfg.model}.{cfg.format}")
     spec = analysis.SweepSpec(
-        cfg.model, cfg.tmin_scaled, cfg.tmax_scaled, cfg.points,
-        (cfg.s,), (cfg.n_th,), cfg.params,
+        cfg.model, cfg.tmin_scaled, cfg.tmax_scaled, cfg.points, cfg.s, cfg.n_th, cfg.params
     )
-    curve = analysis.run_sweep(spec)[0]
+    curve = analysis.run_sweep(spec)
     _atomic_write(out, emit_curve(curve, cfg.format))
     print(f"sweep {cfg.model}: {_curve_summary(curve)} -> {out}")
     return 0

@@ -8,7 +8,7 @@ quadrature.  All constructors return immutable states; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar, k as k_B
@@ -61,8 +61,8 @@ class GaussianState:
         herm = self.cov + 0.5j * sigma
         return float(np.linalg.eigvalsh(herm).min())
 
-    def is_physical(self, tol: float = _UNCERTAINTY_TOL) -> bool:
-        return self.uncertainty_defect() >= -tol
+    def is_physical(self) -> bool:
+        return self.uncertainty_defect() >= -_UNCERTAINTY_TOL
 
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Symplectic eigenvalues of cov (all equal to 1/4 for pure states)."""

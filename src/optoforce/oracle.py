@@ -22,6 +22,8 @@ from scipy.linalg import expm
 Generator = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 _MAX_CUTOFF = 600
+#: Largest neglected Fock-tail weight of the Fock oracle's cutoff
+_TAIL_TOL = 1e-12
 _STEP_SAFETY = 0.1
 
 
@@ -156,13 +158,12 @@ class FockSpec:
 
     family: 'thermal' (param = n_bar), 'tmsv' or 'squeezed' (param = s,
     with optional angle phi for 'squeezed').  The cutoff is chosen so the
-    neglected tail weight is below tail_tol.
+    neglected tail weight is below _TAIL_TOL.
     """
 
     family: str
     param: float
     phi: float = 0.0
-    tail_tol: float = 1e-12
 
     def __post_init__(self):
         if self.family not in ("thermal", "tmsv", "squeezed"):
@@ -176,17 +177,17 @@ class FockSpec:
             if n_bar == 0:
                 return 1
             q = n_bar / (1.0 + n_bar)
-            n = int(np.ceil(np.log(self.tail_tol) / np.log(q))) + 1
+            n = int(np.ceil(np.log(_TAIL_TOL) / np.log(q))) + 1
         elif self.family == "tmsv":
             lam = abs(np.tanh(self.param))
             if lam == 0:
                 return 1
-            n = int(np.ceil(np.log(self.tail_tol) / (2.0 * np.log(lam)))) + 1
+            n = int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(lam)))) + 1
         else:  # squeezed: same geometric tail rate as tmsv, with margin
             lam = abs(np.tanh(self.param))
             if lam == 0:
                 return 4  # keep the tail check meaningful
-            n = 2 * (int(np.ceil(np.log(self.tail_tol) / (2.0 * np.log(lam)))) + 8)
+            n = 2 * (int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(lam)))) + 8)
         if n > _MAX_CUTOFF:
             raise ValueError(
                 f"cutoff {n} exceeds {_MAX_CUTOFF}: Fock oracle is validated for "
@@ -281,9 +282,9 @@ def _squeezed_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
     gen = np.conj(zeta) * (a @ a) - zeta * (a.T @ a.T)
     psi = expm(gen) @ np.eye(cut + 1)[:, 0]
     tail = abs(psi[-1]) ** 2 + abs(psi[-2]) ** 2
-    if tail > spec.tail_tol:
+    if tail > _TAIL_TOL:
         raise ValueError(
-            f"truncation tail {tail:.3g} exceeds {spec.tail_tol}; "
+            f"truncation tail {tail:.3g} exceeds {_TAIL_TOL}; "
             "squeezed oracle validated for |s| <= 1.5"
         )
     x, y = _quadratures(cut)

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from optoforce import analysis, cavity, cavityless, cli, gaussian, oracle
 
@@ -80,7 +79,7 @@ def test_criterion_03_phi_minimum():
     dev_scan, dev_structure = 0.0, 0.0
     for s in (0.0, 1.0, 5.0):
         _, n_analytic = cavity.minimize_noise_over_phi(CV, t, s, 0.0)
-        _, n_scan = cavity.scan_noise_over_phi(CV, t, s, 0.0, n_points=10_000)
+        _, n_scan = cavity.scan_noise_over_phi(CV, t, s, 0.0)
         dev_scan = max(dev_scan, abs(n_analytic - n_scan))
         structure = (1.0 + c**2) * np.exp(-2.0 * s) / 4.0
         dev_structure = max(dev_structure, abs(n_analytic - structure))
@@ -200,10 +199,9 @@ def test_criterion_09_figure_dataset(tmp_path, monkeypatch, capsys):
 
     # deterministic: an independent recomputation reproduces the bytes
     spec = analysis.SweepSpec(
-        "cavityless", 0.0, 2 * np.pi, 401, (5.0,), (300.0,),
-        dict(analysis.DEFAULT_PARAMS),
+        "cavityless", 0.0, 2 * np.pi, 401, 5.0, 300.0, dict(analysis.DEFAULT_PARAMS)
     )
-    redone = cli.emit_curve(analysis.run_sweep(spec, spot_check=False)[0], "csv")
+    redone = cli.emit_curve(analysis.run_sweep(spec), "csv")
     assert redone == curves["cavityless_5_300.csv"][0]
 
     # spectral shape: two beat frequencies without the cavity, one with it

@@ -16,8 +16,8 @@ def test_sweep_spec_validation():
 
 
 def test_run_sweep_basic():
-    spec = analysis.SweepSpec("cavityless", 0.0, np.pi, 41, (0.0,), (0.0,))
-    (curve,) = analysis.run_sweep(spec)
+    spec = analysis.SweepSpec("cavityless", 0.0, np.pi, 41, 0.0, 0.0)
+    curve = analysis.run_sweep(spec)
     assert curve.model == "cavityless"
     assert len(curve.t_scaled) == 41
     assert curve.t_scaled[0] == 0.0
@@ -36,9 +36,9 @@ def test_run_sweep_basic():
 
 
 def test_run_sweep_deterministic():
-    spec = analysis.SweepSpec("cavity", 0.0, 4 * np.pi, 31, (5.0,), (300.0,))
-    a = analysis.run_sweep(spec)[0]
-    b = analysis.run_sweep(spec)[0]
+    spec = analysis.SweepSpec("cavity", 0.0, 4 * np.pi, 31, 5.0, 300.0)
+    a = analysis.run_sweep(spec)
+    b = analysis.run_sweep(spec)
     assert np.array_equal(a.f_min, b.f_min)
     assert np.array_equal(a.noise, b.noise)
 
@@ -48,13 +48,9 @@ def test_run_sweep_spot_check_catches_wrong_closed_form(model, monkeypatch):
     # sabotage the closed-form signal on the module, after import: the sweep
     # looks it up at call time, and the RK4 spot check must abort the run
     monkeypatch.setattr(analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
-    spec = analysis.SweepSpec(model, 0.0, np.pi, 11, (0.0,), (0.0,))
+    spec = analysis.SweepSpec(model, 0.0, np.pi, 11, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="spot-check"):
         analysis.run_sweep(spec)
-    # and can be bypassed explicitly
-    curves = analysis.run_sweep(spec, spot_check=False)
-    assert len(curves) == 1
-    assert np.all(curves[0].signal_per_f == 0.123)
 
 
 def test_spot_check_fails_on_nan():
@@ -68,7 +64,7 @@ def test_spot_check_fails_on_nan():
 
 
 def test_run_sweep_rejects_non_finite_values():
-    spec = analysis.SweepSpec("cavity", 0.0, np.pi, 11, (400.0,), (0.0,))
+    spec = analysis.SweepSpec("cavity", 0.0, np.pi, 11, 400.0, 0.0)
     with pytest.raises(ValueError, match="noise: not finite"):
         analysis.run_sweep(spec)
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -129,6 +128,12 @@ WRITES_NOTHING = [
     (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
     (["validate", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
     (["sweep", "--theta-over-chi", "1e200"], "the inputs overflow"),
+    (["sweep", "--omega-over-theta", "1e300"], "the inputs overflow"),
+    (["fig2", "--omega-over-theta", "1e300"], "the inputs overflow"),
+    (["sql", "--model", "cavityless", "--omega-over-theta", "1e300"], "the inputs overflow"),
+    (["power-scaling", "--model", "cavityless", "--omega-over-theta", "1e300"],
+     "the inputs overflow"),
+    (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"], "noise: not finite"),
     (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
     (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
     (["power-scaling", "--s", "400"], "f_min: "),
@@ -149,6 +154,31 @@ def test_bad_result_exits_2_writing_nothing(argv, message, tmp_path, monkeypatch
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
     assert existing.read_text() == "keep"
+
+
+OVERFLOWING = [["--g-alpha-over-omega", "1e200"], ["--omega-over-theta", "1e300"]]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING, ids=[" ".join(a) for a in OVERFLOWING])
+def test_validate_overflow_stops_before_any_rk4_step(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("integrate_propagator", "integrate_moments"):
+        monkeypatch.setattr(cli.analysis.oracle, name,
+                            lambda *args, name=name: calls.append(name))
+    code, _, err = run_cli(["validate", *argv], tmp_path, monkeypatch, capsys)
+    assert code == 2 and "error: the inputs overflow" in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", ["cavityless", "cavity"])
+def test_sql_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch, capsys):
+    # sabotage the closed-form signal as in the sweep test: the RK4 spot
+    # check of the sql value must abort the run before anything is written
+    monkeypatch.setattr(cli.analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
+    code, _, err = run_cli(["sql", "--model", model], tmp_path, monkeypatch, capsys)
+    assert code == 1 and "error: oracle spot-check failed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_exit_code(tmp_path, monkeypatch, capsys):
