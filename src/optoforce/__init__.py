@@ -7,38 +7,3 @@ truncated-Fock validation oracles, parameter sweeps and a CLI.
 """
 
 __version__ = "0.1.0"
-
-from .gaussian import (
-    AffinePropagator,
-    GaussianState,
-    LinearObservable,
-    apply,
-    expectation,
-    nbar_from_temperature,
-    reorder_modes,
-    single_mode_squeezed,
-    symplectic_form,
-    tensor,
-    thermal_state,
-    two_mode_squeezed,
-    vacuum_state,
-    variance,
-)
-
-__all__ = [
-    "__version__",
-    "AffinePropagator",
-    "GaussianState",
-    "LinearObservable",
-    "apply",
-    "expectation",
-    "nbar_from_temperature",
-    "reorder_modes",
-    "single_mode_squeezed",
-    "symplectic_form",
-    "tensor",
-    "thermal_state",
-    "two_mode_squeezed",
-    "vacuum_state",
-    "variance",
-]

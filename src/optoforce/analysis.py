@@ -20,6 +20,9 @@ SPECTRUM_CYCLES = 40.0
 SPECTRUM_SAMPLES = 8192
 SPECTRUM_PEAK_FRACTION = 0.1
 
+#: RK4 steps per segment of the ledger's 24-point propagator grids
+LEDGER_SEGMENT_STEPS = 400
+
 DEFAULT_PARAMS = {
     "theta_over_chi": 1.025,
     "omega_over_theta": 10.3,
@@ -99,8 +102,9 @@ def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise
     for t, sig_cf, noise_cf in zip(times, signal_per_f, noise):
         m0 = scheme.meter_state(p, t, s, n_th)
         # covariance entries reach ~e^{2s}(2 n_th + 1)/4; keep ||A|| h small
-        # enough that the O(h^4) error stays below the absolute tolerance
-        n_steps = max(1000, int(np.ceil(norm * t / 0.01)))
+        # enough that the O(h^4) error stays below the absolute tolerance, and
+        # Omega h ten times that, so that the drive c(t) is resolved too
+        n_steps = max(1000, int(np.ceil(max(norm, p.omega / 10) * t / 0.01)))
         spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
         mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
         sig_rk = float(obs @ mean) / p.force
@@ -271,7 +275,7 @@ def signal_dominant_frequencies(model: str, params: dict) -> np.ndarray:
     p = scheme.params_from_ratios(params)
     t_max = SPECTRUM_CYCLES * np.pi / scheme.time_unit(p)
     t = np.linspace(0.0, t_max, SPECTRUM_SAMPLES)
-    y = np.array([scheme.signal(p, ti) for ti in t])
+    y = scheme.signal(p, t)
     y = y - np.polyval(np.polyfit(t, y, 1), t)
     spectrum = np.abs(np.fft.rfft(y * np.hanning(SPECTRUM_SAMPLES)))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(SPECTRUM_SAMPLES, d=t[1] - t[0])
@@ -316,11 +320,11 @@ def validation_ledger(params: dict | None = None) -> dict:
 
     # --- propagator force terms: trig form vs the published hyperbolic term
     t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
-    devs_ad = []
-    devs_lit = []
-    for t in t_grid:
-        spec = oracle.OdeSpec(6, lambda tau: cavityless.generator(p, tau), t, 6000)
-        m_rk, d_rk = oracle.integrate_propagator(spec)
+    mats, disps = oracle.integrate_propagator_track(
+        6, lambda tau: cavityless.generator(p, tau), t_grid, LEDGER_SEGMENT_STEPS
+    )
+    devs_ad, devs_lit = [], []
+    for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavityless.closed_propagator(p, t)
         devs_ad += [np.max(np.abs(m_rk - prop.mat)), np.max(np.abs(d_rk - prop.disp))]
         # literal X1 force term: -[Omega sinh(Theta t) - sin(Omega t)] * chi Omega f / (Omega^2 - Theta^2)
@@ -428,11 +432,12 @@ def validation_ledger(params: dict | None = None) -> dict:
     ))
 
     # --- cavity propagator vs RK4
+    t_grid = np.linspace(0.2, 4 * np.pi, 24) / q.omega
+    mats, disps = oracle.integrate_propagator_track(
+        4, lambda tau: cavity.generator(q, tau), t_grid, LEDGER_SEGMENT_STEPS
+    )
     devs_cav = []
-    for wt in np.linspace(0.2, 4 * np.pi, 24):
-        t = wt / q.omega
-        spec = oracle.OdeSpec(4, lambda tau: cavity.generator(q, tau), t, 4000)
-        m_rk, d_rk = oracle.integrate_propagator(spec)
+    for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavity.closed_propagator(q, t)
         devs_cav += [np.max(np.abs(m_rk - prop.mat)), np.max(np.abs(d_rk - prop.disp))]
     dev_cav = _max(devs_cav)

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
@@ -374,17 +375,25 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        cfg = parse_config(sys.argv[1:] if argv is None else argv)
-        return COMMANDS[cfg.command].handler(cfg)
-    except RuntimeError as exc:  # oracle spot-check abort
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:  # input or result outside its domain
-        if isinstance(exc, ArithmeticError):  # a Python float overflowed
-            exc = f"the inputs overflow the closed forms ({exc})"
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # every result is checked for finiteness and ends in a named error, so
+    # numpy's floating-point warnings are silenced; a model warning (a
+    # UserWarning) prints once, as one "warning:" line
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always", UserWarning)
+        try:
+            cfg = parse_config(sys.argv[1:] if argv is None else argv)
+            code, error = COMMANDS[cfg.command].handler(cfg), None
+        except RuntimeError as exc:  # oracle spot-check abort
+            code, error = 1, exc
+        except (ValueError, ArithmeticError) as exc:  # input or result outside its domain
+            if isinstance(exc, ArithmeticError):  # a Python float overflowed
+                exc = f"the inputs overflow the closed forms ({exc})"
+            code, error = 2, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

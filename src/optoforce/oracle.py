@@ -3,7 +3,9 @@
 Two deliberately separate code paths back every closed form in the package:
 
 * fixed-step RK4 integration of the exact moment ODEs
-  dm/dt = A m + c(t),  dV/dt = A V + V A^T  (and the propagator itself),
+  dm/dt = A m + c(t),  dV/dt = A V + V A^T  (and the propagator itself,
+  at one time or, with integrate_propagator_track, at every time of a
+  sorted grid in one forward pass of composed segments),
 * truncated Fock-space moment computation for the thermal, two-mode
   squeezed and single-mode squeezed initial states.
 
@@ -109,6 +111,27 @@ def integrate_propagator(spec: OdeSpec) -> tuple[np.ndarray, np.ndarray]:
     y0 = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
     y = _rk4(spec, y0, rhs)
     return y[: d * d].reshape(d, d), y[d * d :]
+
+
+def integrate_propagator_track(
+    dim: int, generator: Generator, times, n_sub: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """RK4 propagators (M, d) at each time of a sorted grid, in one forward pass:
+    each segment from the previous grid time (or 0) is one integrate_propagator
+    run of n_sub steps, composed as M <- M_k M, d <- M_k d + d_k."""
+    mats, disps = [], []
+    m, d = np.eye(dim), np.zeros(dim)
+    t_prev = 0.0
+    for t in times:
+        if t > t_prev:
+            seg = OdeSpec(dim, lambda tau, t0=t_prev: generator(t0 + tau), t - t_prev, n_sub)
+            ms, ds = integrate_propagator(seg)
+            m = ms @ m
+            d = ms @ d + ds
+            t_prev = t
+        mats.append(m)
+        disps.append(d)
+    return mats, disps
 
 
 def expm_propagator(a: np.ndarray, t: float) -> np.ndarray:

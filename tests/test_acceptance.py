@@ -18,30 +18,11 @@ CV = cavity.CavityParams.from_ratios(0.2)
 N_TIME_POINTS = 200
 
 
-def _rk4_propagator_track(gen, dim, times, n_sub=100):
-    """RK4 propagator at a sorted time grid, composed segment by segment."""
-    mats, disps = [], []
-    m, d = np.eye(dim), np.zeros(dim)
-    t_prev = 0.0
-    for t in times:
-        if t > t_prev:
-            seg = oracle.OdeSpec(
-                dim, lambda tau, t0=t_prev: gen(t0 + tau), t - t_prev, n_sub
-            )
-            ms, ds = oracle.integrate_propagator(seg)
-            m = ms @ m
-            d = ms @ d + ds
-            t_prev = t
-        mats.append(m.copy())
-        disps.append(d.copy())
-    return mats, disps
-
-
 def test_criterion_01_cavityless_propagator_vs_rk4():
     start = time.perf_counter()
     times = np.linspace(0.0, 2 * np.pi, N_TIME_POINTS) / CL.Theta
-    mats, disps = _rk4_propagator_track(
-        lambda t: cavityless.generator(CL, t), 6, times
+    mats, disps = oracle.integrate_propagator_track(
+        6, lambda t: cavityless.generator(CL, t), times, 100
     )
     dev = 0.0
     for t, m_rk, d_rk in zip(times, mats, disps):
@@ -58,8 +39,8 @@ def test_criterion_01_cavityless_propagator_vs_rk4():
 def test_criterion_02_cavity_propagator_vs_rk4():
     start = time.perf_counter()
     times = np.linspace(0.0, 4 * np.pi, N_TIME_POINTS) / CV.omega
-    mats, disps = _rk4_propagator_track(
-        lambda t: cavity.generator(CV, t), 4, times
+    mats, disps = oracle.integrate_propagator_track(
+        4, lambda t: cavity.generator(CV, t), times, 100
     )
     dev = 0.0
     for t, m_rk, d_rk in zip(times, mats, disps):

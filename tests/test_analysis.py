@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from optoforce import analysis
@@ -51,6 +53,28 @@ def test_run_sweep_spot_check_catches_wrong_closed_form(model, monkeypatch):
     spec = analysis.SweepSpec(model, 0.0, np.pi, 11, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="spot-check"):
         analysis.run_sweep(spec)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    model=st.sampled_from(sorted(analysis.SCHEMES)),
+    theta_over_chi=st.floats(1.01, 2.0),
+    omega_over_theta=st.floats(3.2, 100.0),
+    g_alpha_over_omega=st.floats(0.01, 2.0),
+    s=st.floats(-3.0, 3.0),
+    n_th=st.floats(0.0, 300.0),
+    t_fraction=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_spot_check_passes_across_the_cli_domain(
+    model, theta_over_chi, omega_over_theta, g_alpha_over_omega, s, n_th, t_fraction
+):
+    # a 2-point sweep ending at t in (0, 2 T_STAR] spot-checks its last point:
+    # the correct closed forms must pass the RK4 comparison everywhere
+    params = dict(analysis.DEFAULT_PARAMS, theta_over_chi=theta_over_chi,
+                  omega_over_theta=omega_over_theta,
+                  g_alpha_over_omega=g_alpha_over_omega)
+    t_stop = t_fraction * 2 * analysis.SCHEMES[model].T_STAR
+    analysis.run_sweep(analysis.SweepSpec(model, 0.0, t_stop, 2, s, n_th, params))
 
 
 def test_spot_check_fails_on_nan():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +182,28 @@ def test_sql_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch, 
     code, _, err = run_cli(["sql", "--model", model], tmp_path, monkeypatch, capsys)
     assert code == 1 and "error: oracle spot-check failed" in err
     assert list(tmp_path.iterdir()) == []
+
+
+STDERR_CASES = [
+    (["sweep", "--model", "cavityless", "--s", "400"], 2, "error: noise: not finite"),
+    (["sweep", "--omega-over-theta", "2", "--points", "41"], 0,
+     "warning: omega^2/Theta^2 = 4 < 10.0: outside the validity regime"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", STDERR_CASES,
+                         ids=[" ".join(case[0]) for case in STDERR_CASES])
+def test_stderr_shows_only_the_cli_lines(argv, code, line, tmp_path):
+    # in a subprocess: pytest captures warnings in-process, so only a real
+    # run shows what numpy and the warnings module print to stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "optoforce.cli", *argv, "-o", str(tmp_path / "out.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line), proc.stderr
 
 
 def test_missing_config_file_exit_code(tmp_path, monkeypatch, capsys):

@@ -71,6 +71,23 @@ def test_time_dependent_drive():
     assert_allclose(m, [np.sin(2.0), 0.0], atol=1e-12)
 
 
+def test_propagator_track_matches_runs_from_zero():
+    # one forward pass of composed segments against a run from t = 0 at each
+    # time, for a time-dependent drive; a repeated time adds no segment
+    a = np.array([[0.0, 1.3], [-1.3, 0.0]])
+    gen = lambda t: (a, np.array([np.cos(2.0 * t), 0.5]))
+    times = [0.0, 0.4, 0.4, 1.5, 3.0]
+    mats, disps = oracle.integrate_propagator_track(2, gen, times, 1000)
+    assert len(mats) == len(disps) == len(times)
+    assert_allclose(mats[0], np.eye(2), atol=0.0)
+    assert_allclose(disps[0], 0.0, atol=0.0)
+    assert mats[1] is mats[2] and disps[1] is disps[2]
+    for t, m, d in zip(times[1:], mats[1:], disps[1:]):
+        m_ref, d_ref = oracle.integrate_propagator(oracle.OdeSpec(2, gen, t, 4000))
+        assert_allclose(m, m_ref, atol=1e-12)
+        assert_allclose(d, d_ref, atol=1e-12)
+
+
 def test_convergence_report_fourth_order():
     spec = oracle.OdeSpec(2, rotation_generator(1.0), 4.0, 200)
     rep = oracle.convergence_report(spec, np.array([1.0, 0.0]), 0.25 * np.eye(2))
