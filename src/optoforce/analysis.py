@@ -93,7 +93,7 @@ def _max(values) -> float:
 
 
 def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise) -> None:
-    """RK4 moment integration at a few grid points against the values the
+    """The RK4 oracle's moments at a few grid points against the values the
     sweep computed there; aborts on disagreement."""
     scheme = SCHEMES[model]
     obs = scheme.readout_observable().coeffs

@@ -50,7 +50,9 @@ class GaussianState:
             raise ValueError(f"mean must have length {d}, got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must be {d}x{d}, got {cov.shape}")
-        if np.max(np.abs(cov - cov.T)) > _SYMMETRY_TOL:
+        if not np.max(np.abs(cov - cov.T)) <= _SYMMETRY_TOL:  # also true for inf or NaN
+            if not np.isfinite(cov).all():
+                raise ValueError("cov: not finite; the inputs overflow")
             raise ValueError("cov must be symmetric to within 1e-12")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

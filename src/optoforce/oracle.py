@@ -2,10 +2,11 @@
 
 Two deliberately separate code paths back every closed form in the package:
 
-* fixed-step RK4 integration of the exact moment ODEs
-  dm/dt = A m + c(t),  dV/dt = A V + V A^T  (and the propagator itself,
-  at one time or, with integrate_propagator_track, at every time of a
-  sorted grid in one forward pass of composed segments),
+* fixed-step RK4 integration of the affine propagator x -> M x + d of
+  dx/dt = A x + c(t), as one augmented matrix ODE Y' = [[A, c], [0, 0]] Y;
+  the moments are read off it as m = M m0 + d and V = M V0 M^T, at one
+  time or, with integrate_propagator_track, at every time of a sorted grid
+  in one forward pass of composed segments,
 * truncated Fock-space moment computation for the thermal, two-mode
   squeezed and single-mode squeezed initial states.
 
@@ -60,57 +61,53 @@ def _check_step(spec: OdeSpec) -> None:
         )
 
 
-def _rk4(spec: OdeSpec, y0: np.ndarray, rhs) -> np.ndarray:
+def _affine_rk4(spec: OdeSpec) -> np.ndarray:
+    """RK4 solution Y(t_final) of the augmented affine propagator
+    Y' = [[A, c(t)], [0, 0]] Y with Y(0) = 1, so Y = [[M, d], [0, 1]].
+
+    The generator is evaluated at t + h/2 and t + h of each step; the t + h
+    value is the next step's t value."""
+    n = spec.dim
     h = spec.t_final / spec.n_steps
-    y = y0
+
+    def aug(t: float) -> np.ndarray:
+        a, c = spec.generator(t)
+        g = np.zeros((n + 1, n + 1))
+        g[:n, :n] = a
+        g[:n, n] = c
+        return g
+
+    y = np.eye(n + 1)
+    g0 = aug(0.0)
     t = 0.0
     for _ in range(spec.n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2.0, y + (h / 2.0) * k1)
-        k3 = rhs(t + h / 2.0, y + (h / 2.0) * k2)
-        k4 = rhs(t + h, y + h * k3)
+        g_half = aug(t + h / 2.0)
+        g1 = aug(t + h)
+        k1 = g0 @ y
+        k2 = g_half @ (y + (h / 2.0) * k1)
+        k3 = g_half @ (y + (h / 2.0) * k2)
+        k4 = g1 @ (y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g0 = g1
         t += h
     return y
-
-
-def integrate_moments(
-    spec: OdeSpec, m0: np.ndarray, v0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 solution of the mean and covariance ODEs at t_final."""
-    _check_step(spec)
-    m0 = np.asarray(m0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    d = spec.dim
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a, c = spec.generator(t)
-        m = y[:d]
-        v = y[d:].reshape(d, d)
-        dm = a @ m + c
-        dv = a @ v + v @ a.T
-        return np.concatenate([dm, dv.ravel()])
-
-    y = _rk4(spec, np.concatenate([m0, v0.ravel()]), rhs)
-    m = y[:d]
-    v = y[d:].reshape(d, d)
-    return m, 0.5 * (v + v.T)
 
 
 def integrate_propagator(spec: OdeSpec) -> tuple[np.ndarray, np.ndarray]:
     """RK4 solution of M' = A M, d' = A d + c with M(0) = 1, d(0) = 0."""
     _check_step(spec)
-    d = spec.dim
+    y = _affine_rk4(spec)
+    return y[: spec.dim, : spec.dim], y[: spec.dim, spec.dim]
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a, c = spec.generator(t)
-        m = y[: d * d].reshape(d, d)
-        disp = y[d * d :]
-        return np.concatenate([(a @ m).ravel(), a @ disp + c])
 
-    y0 = np.concatenate([np.eye(d).ravel(), np.zeros(d)])
-    y = _rk4(spec, y0, rhs)
-    return y[: d * d].reshape(d, d), y[d * d :]
+def integrate_moments(
+    spec: OdeSpec, m0: np.ndarray, v0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean M m0 + d and covariance M V0 M^T at t_final, read off one RK4
+    propagator run (the exact transport of moments under linear dynamics)."""
+    mat, disp = integrate_propagator(spec)
+    v = mat @ np.asarray(v0, dtype=float) @ mat.T
+    return mat @ np.asarray(m0, dtype=float) + disp, 0.5 * (v + v.T)
 
 
 def integrate_propagator_track(
@@ -134,40 +131,30 @@ def integrate_propagator_track(
     return mats, disps
 
 
-def expm_propagator(a: np.ndarray, t: float) -> np.ndarray:
-    """Matrix-exponential reference for constant generators (machine precision)."""
-    return expm(a * t)
-
-
-def convergence_report(spec: OdeSpec, m0: np.ndarray, v0: np.ndarray) -> dict:
+def convergence_report(spec: OdeSpec) -> dict:
     """Self-convergence certificate for the RK4 oracle.
 
-    Runs at n, 2n and 4n steps, reports the max componentwise differences
-    and the observed convergence order; for a time-independent A also the
-    deviation of the homogeneous propagator from the matrix exponential.
+    Runs the propagator at n, 2n and 4n steps, reports the max componentwise
+    differences of (M, d) and the observed convergence order; for a
+    time-independent A also the deviation of M from the matrix exponential.
     """
-    runs = {}
-    for mult in (1, 2, 4):
-        sub = OdeSpec(spec.dim, spec.generator, spec.t_final, spec.n_steps * mult)
-        m, v = integrate_moments(sub, m0, v0)
-        runs[mult] = np.concatenate([m, v.ravel()])
-    diff_12 = float(np.max(np.abs(runs[1] - runs[2])))
-    diff_24 = float(np.max(np.abs(runs[2] - runs[4])))
-    order = float(np.log2(diff_12 / diff_24)) if diff_24 > 0 else float("inf")
-
-    a0, _ = spec.generator(0.0)
-    a1, _ = spec.generator(0.5 * spec.t_final)
+    runs = [
+        np.column_stack(integrate_propagator(
+            OdeSpec(spec.dim, spec.generator, spec.t_final, spec.n_steps * mult)))
+        for mult in (1, 2, 4)
+    ]
+    diff_12, diff_24 = (float(np.max(np.abs(a - b))) for a, b in zip(runs, runs[1:]))
     report = {
         "n_steps": spec.n_steps,
         "diff_n_2n": diff_12,
         "diff_2n_4n": diff_24,
-        "observed_order": order,
+        "observed_order": float(np.log2(diff_12 / diff_24)) if diff_24 > 0 else float("inf"),
     }
+    a0, _ = spec.generator(0.0)
+    a1, _ = spec.generator(0.5 * spec.t_final)
     if np.array_equal(a0, a1):
-        mat, _ = integrate_propagator(spec)
-        report["expm_deviation"] = float(
-            np.max(np.abs(mat - expm_propagator(a0, spec.t_final)))
-        )
+        mat = runs[0][:, : spec.dim]
+        report["expm_deviation"] = float(np.max(np.abs(mat - expm(a0 * spec.t_final))))
     return report
 
 

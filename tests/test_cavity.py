@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from optoforce import cavity as cv
 from optoforce import gaussian as g
@@ -35,8 +36,7 @@ def test_drift_matrix_structure():
 def test_closed_propagator_vs_expm_and_rk4():
     t = np.pi / Q.omega
     prop = cv.closed_propagator(Q, t)
-    assert_allclose(prop.mat, oracle.expm_propagator(cv.drift_matrix(Q), t),
-                    atol=1e-12)
+    assert_allclose(prop.mat, expm(cv.drift_matrix(Q) * t), atol=1e-12)
     spec = oracle.OdeSpec(4, lambda tau: cv.generator(Q, tau), t, 4000)
     m_rk, d_rk = oracle.integrate_propagator(spec)
     assert_allclose(prop.mat, m_rk, atol=1e-10)

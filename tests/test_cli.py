@@ -101,7 +101,7 @@ BAD_INPUTS = [
     (["sweep", "--f", "nan"], "f"),
     (["sweep", "--n-th", "nan"], "n_th"),
     (["sweep", "--model", "cavity", "--s", "400"], "noise"),
-    (["sweep", "--model", "cavityless", "--s", "400"], "noise"),
+    (["sweep", "--model", "cavityless", "--s", "400"], "cov"),
     (["sweep", "-o", "DIR"], "out"),
     (["sql", "-o", "DIR"], "out"),
     (["validate", "-o", "DIR"], "out"),
@@ -139,9 +139,9 @@ WRITES_NOTHING = [
     (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"], "noise: not finite"),
     (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
     (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
-    (["power-scaling", "--s", "400"], "f_min: "),
+    (["power-scaling", "--s", "400"], "cov: "),
     (["power-scaling", "--model", "cavity", "--s", "400"], "f_min: "),
-    (["power-scaling", "--s", "400", "--format", "json"], "f_min: "),
+    (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
 ]
 
 
@@ -185,7 +185,7 @@ def test_sql_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch, 
 
 
 STDERR_CASES = [
-    (["sweep", "--model", "cavityless", "--s", "400"], 2, "error: noise: not finite"),
+    (["sweep", "--model", "cavityless", "--s", "400"], 2, "error: cov: not finite"),
     (["sweep", "--omega-over-theta", "2", "--points", "41"], 0,
      "warning: omega^2/Theta^2 = 4 < 10.0: outside the validity regime"),
 ]

@@ -174,6 +174,19 @@ def test_state_validation():
         g.LinearObservable(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_rejects_non_finite_cov(bad):
+    # a NaN makes every comparison false, so a symmetry test written as
+    # "difference > tol" would let it through
+    cov = 0.25 * np.eye(2)
+    cov[0, 0] = bad
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="cov: not finite; the inputs overflow"):
+            g.GaussianState(1, np.zeros(2), cov)
+        with pytest.raises(ValueError, match="cov: not finite"):
+            g.two_mode_squeezed(400.0)
+
+
 def test_constructed_states_satisfy_uncertainty():
     states = [
         g.vacuum_state(2),

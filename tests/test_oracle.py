@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from optoforce import gaussian as g
 from optoforce import oracle
@@ -43,7 +44,7 @@ def test_propagator_matches_expm():
     a = a - a.T  # skew keeps the norm tame
     spec = oracle.OdeSpec(4, lambda t: (a, np.zeros(4)), 2.0, 4000)
     mat, _ = oracle.integrate_propagator(spec)
-    assert_allclose(mat, oracle.expm_propagator(a, 2.0), atol=1e-10)
+    assert_allclose(mat, expm(a * 2.0), atol=1e-10)
 
 
 def test_moments_constant_drive():
@@ -61,6 +62,21 @@ def test_moments_rotation_preserves_isotropic_cov():
     m, v = oracle.integrate_moments(spec, np.array([1.0, 0.0]), 0.25 * np.eye(2))
     assert_allclose(v, 0.25 * np.eye(2), atol=1e-10)
     assert_allclose(np.linalg.norm(m), 1.0, atol=1e-10)
+
+
+def test_moments_transport_anisotropic_cov_under_non_normal_drift():
+    # m = E m0 + A^{-1}(E - 1) c and V = E V0 E^T with E = expm(A t), for a
+    # non-normal, invertible A, a constant drive and a non-isotropic V0
+    a = np.array([[-0.3, 2.0], [-0.5, 0.1]])
+    c = np.array([0.7, -0.4])
+    m0 = np.array([1.0, -2.0])
+    v0 = np.array([[2.0, 0.3], [0.3, 0.05]])
+    t = 3.0
+    spec = oracle.OdeSpec(2, lambda tau: (a, c), t, 4000)
+    m, v = oracle.integrate_moments(spec, m0, v0)
+    e = expm(a * t)
+    assert_allclose(m, e @ m0 + np.linalg.solve(a, (e - np.eye(2)) @ c), rtol=0, atol=1e-10)
+    assert_allclose(v, e @ v0 @ e.T, rtol=0, atol=1e-10)
 
 
 def test_time_dependent_drive():
@@ -90,7 +106,7 @@ def test_propagator_track_matches_runs_from_zero():
 
 def test_convergence_report_fourth_order():
     spec = oracle.OdeSpec(2, rotation_generator(1.0), 4.0, 200)
-    rep = oracle.convergence_report(spec, np.array([1.0, 0.0]), 0.25 * np.eye(2))
+    rep = oracle.convergence_report(spec)
     assert rep["diff_2n_4n"] < rep["diff_n_2n"]
     assert 3.5 < rep["observed_order"] < 4.5
     assert rep["expm_deviation"] < 1e-8
