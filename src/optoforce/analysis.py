@@ -20,9 +20,6 @@ SPECTRUM_CYCLES = 40.0
 SPECTRUM_SAMPLES = 8192
 SPECTRUM_PEAK_FRACTION = 0.1
 
-#: RK4 steps per segment of the ledger's 24-point propagator grids
-LEDGER_SEGMENT_STEPS = 400
-
 DEFAULT_PARAMS = {
     "theta_over_chi": 1.025,
     "omega_over_theta": 10.3,
@@ -92,20 +89,25 @@ def _max(values) -> float:
     return float(np.max(values))
 
 
+def _rk4_steps(gen, omega: float, dt: float) -> int:
+    """RK4 steps over a time span dt, at least 1000.
+
+    Covariance entries reach ~e^{2s}(2 n_th + 1)/4; ||A|| h <= 0.01 keeps the
+    O(h^4) error below the absolute tolerance, and Omega h <= 0.1 resolves the
+    drive c(t) at the mirror frequency Omega too."""
+    norm = np.linalg.norm(gen(0.0)[0], 2)
+    return max(1000, int(np.ceil(max(norm, omega / 10) * dt / 0.01)))
+
+
 def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise) -> None:
     """The RK4 oracle's moments at a few grid points against the values the
     sweep computed there; aborts on disagreement."""
     scheme = SCHEMES[model]
     obs = scheme.readout_observable().coeffs
     gen = lambda t: scheme.generator(p, t)
-    norm = np.linalg.norm(gen(0.0)[0], 2)
     for t, sig_cf, noise_cf in zip(times, signal_per_f, noise):
         m0 = scheme.meter_state(p, t, s, n_th)
-        # covariance entries reach ~e^{2s}(2 n_th + 1)/4; keep ||A|| h small
-        # enough that the O(h^4) error stays below the absolute tolerance, and
-        # Omega h ten times that, so that the drive c(t) is resolved too
-        n_steps = max(1000, int(np.ceil(max(norm, p.omega / 10) * t / 0.01)))
-        spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
+        spec = oracle.OdeSpec(len(obs), gen, t, _rk4_steps(gen, p.omega, t))
         mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
         sig_rk = float(obs @ mean) / p.force
         noise_rk = float(obs @ cov @ obs)
@@ -303,6 +305,13 @@ def _ledger_entry(name, description, adopted, literal, deviation_adopted,
     }
 
 
+def _propagator_track(dim: int, gen, omega: float, t_grid):
+    """RK4 propagators at each time of the sorted t_grid, in one forward pass
+    whose segments all take the _rk4_steps of the longest one."""
+    dt = float(np.max(np.diff(t_grid, prepend=0.0)))
+    return oracle.integrate_propagator_track(dim, gen, t_grid, _rk4_steps(gen, omega, dt))
+
+
 def validation_ledger(params: dict | None = None) -> dict:
     """Compare every transcribed closed form against the numerical oracles.
 
@@ -320,9 +329,7 @@ def validation_ledger(params: dict | None = None) -> dict:
 
     # --- propagator force terms: trig form vs the published hyperbolic term
     t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
-    mats, disps = oracle.integrate_propagator_track(
-        6, lambda tau: cavityless.generator(p, tau), t_grid, LEDGER_SEGMENT_STEPS
-    )
+    mats, disps = _propagator_track(6, lambda tau: cavityless.generator(p, tau), w, t_grid)
     devs_ad, devs_lit = [], []
     for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavityless.closed_propagator(p, t)
@@ -433,9 +440,7 @@ def validation_ledger(params: dict | None = None) -> dict:
 
     # --- cavity propagator vs RK4
     t_grid = np.linspace(0.2, 4 * np.pi, 24) / q.omega
-    mats, disps = oracle.integrate_propagator_track(
-        4, lambda tau: cavity.generator(q, tau), t_grid, LEDGER_SEGMENT_STEPS
-    )
+    mats, disps = _propagator_track(4, lambda tau: cavity.generator(q, tau), q.omega, t_grid)
     devs_cav = []
     for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavity.closed_propagator(q, t)

@@ -83,15 +83,16 @@ def drift_matrix(params: CavityParams) -> np.ndarray:
     )
 
 
-def drive_vector(params: CavityParams, t: float) -> np.ndarray:
-    """Constant force drive Omega*f in the Yb slot."""
-    c = np.zeros(4)
-    c[3] = params.omega * params.force
+def drive_vector(params: CavityParams, t) -> np.ndarray:
+    """Constant force drive Omega*f in the Yb slot, shape t.shape + (4,)."""
+    c = np.zeros(np.shape(t) + (4,))
+    c[..., 3] = params.omega * params.force
     return c
 
 
-def generator(params: CavityParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, c) with dm/dt = A m + c and dV/dt = A V + V A^T."""
+def generator(params: CavityParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) with dm/dt = A m + c and dV/dt = A V + V A^T; t a time or an
+    array of times (the oracle's Generator)."""
     return drift_matrix(params), drive_vector(params, t)
 
 

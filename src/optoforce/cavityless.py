@@ -103,17 +103,19 @@ def drift_matrix(params: CavitylessParams) -> np.ndarray:
     return a
 
 
-def drive_vector(params: CavitylessParams, t: float) -> np.ndarray:
-    """Force drive c(t): the mirror is pushed at its own frequency."""
-    c = np.zeros(6)
+def drive_vector(params: CavitylessParams, t) -> np.ndarray:
+    """Force drive c(t), shape t.shape + (6,): the mirror is pushed at its
+    own frequency."""
+    c = np.zeros(np.shape(t) + (6,))
     wf = params.omega * params.force
-    c[2] = -wf * np.sin(params.omega * t)
-    c[3] = wf * np.cos(params.omega * t)
+    c[..., 2] = -wf * np.sin(params.omega * t)
+    c[..., 3] = wf * np.cos(params.omega * t)
     return c
 
 
-def generator(params: CavitylessParams, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, c(t)) with dm/dt = A m + c(t) and dV/dt = A V + V A^T."""
+def generator(params: CavitylessParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c(t)) with dm/dt = A m + c(t) and dV/dt = A V + V A^T; t a time or
+    an array of times (the oracle's Generator)."""
     return drift_matrix(params), drive_vector(params, t)
 
 

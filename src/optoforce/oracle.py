@@ -10,6 +10,14 @@ Two deliberately separate code paths back every closed form in the package:
 * truncated Fock-space moment computation for the thermal, two-mode
   squeezed and single-mode squeezed initial states.
 
+The RK4 stepper works in blocks of at most _BLOCK_STEPS steps.  Per block it
+samples the generator once, on the array of the block's stage times, forms
+each step's increment D_k (one RK4 step is Y -> (1 + D_k) Y) with batched
+matmuls, and composes the increments in time order, pairwise, as
+(1 + D_b)(1 + D_a) = 1 + (D_a + D_b + D_b D_a).  The identity is added once,
+at the end: forming 1 + D_k in double precision would round the same way
+every step and the non-normal transient would amplify it.
+
 Both are deterministic; neither shares code with the closed-form
 propagators they certify.
 """
@@ -22,17 +30,36 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-Generator = Callable[[float], tuple[np.ndarray, np.ndarray]]
+#: t -> (A, c(t)) on a 1-D array of k times: A broadcastable to (k, dim, dim)
+#: and c to (k, dim)
+Generator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _MAX_CUTOFF = 600
 #: Largest neglected Fock-tail weight of the Fock oracle's cutoff
 _TAIL_TOL = 1e-12
 _STEP_SAFETY = 0.1
+#: RK4 steps per block: one generator call and one batch of stage matmuls
+#: each.  Longer blocks lose precision: on the cavityless propagator at
+#: theta/chi = 1.01, Omega/Theta = 12, Theta t = 2 pi in 6299 steps, M deviates
+#: from the closed form by 2.9e-11 with 256-step blocks, 2.6e-10 with 1024
+#: and 1.0e-9 with 4096 or more.
+_BLOCK_STEPS = 256
+
+
+def _augmented(generator: Generator, dim: int, times) -> np.ndarray:
+    """The generators [[A, c], [0, 0]] at each of the times, shape (k, dim+1, dim+1)."""
+    times = np.asarray(times, dtype=float)
+    a, c = generator(times)
+    g = np.zeros((times.size, dim + 1, dim + 1))
+    g[:, :dim, :dim] = a
+    g[:, :dim, dim] = c
+    return g
 
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Fixed-step RK4 problem: generator t -> (A, c), horizon and step count."""
+    """Fixed-step RK4 problem: generator t -> (A, c) on an array of times
+    (see Generator), horizon and step count."""
 
     dim: int
     generator: Generator
@@ -44,13 +71,13 @@ class OdeSpec:
             raise ValueError("dim must be a positive even integer")
         if self.n_steps < 100:
             raise ValueError("n_steps must be >= 100")
-        a, c = self.generator(0.0)
-        if a.shape != (self.dim, self.dim) or c.shape != (self.dim,):
+        a, c = self.generator(np.zeros(1))
+        if np.shape(a)[-2:] != (self.dim, self.dim) or np.shape(c)[-1:] != (self.dim,):
             raise ValueError("generator output does not match dim")
 
 
 def _check_step(spec: OdeSpec) -> None:
-    a, _ = spec.generator(0.0)
+    a = _augmented(spec.generator, spec.dim, [0.0])[0, : spec.dim, : spec.dim]
     h = spec.t_final / spec.n_steps
     norm = np.linalg.norm(a, 2)
     if norm * abs(h) >= _STEP_SAFETY:
@@ -61,36 +88,58 @@ def _check_step(spec: OdeSpec) -> None:
         )
 
 
+def _compose(incs: np.ndarray) -> np.ndarray:
+    """D with 1 + D = (1 + D_{m-1}) ... (1 + D_0) for increments D_k in time
+    order, composed pairwise as (1 + D_b)(1 + D_a) = 1 + (D_a + D_b + D_b D_a)."""
+    while len(incs) > 1:
+        half = len(incs) // 2
+        a, b = incs[0 : 2 * half : 2], incs[1 : 2 * half : 2]
+        pairs = a + b + b @ a
+        incs = np.concatenate([pairs, incs[2 * half :]]) if len(incs) % 2 else pairs
+    return incs[0]
+
+
+def _stage(g: np.ndarray, k: np.ndarray, step: float) -> np.ndarray:
+    """g (1 + step k) = g + step g k, formed in place of the product."""
+    out = g @ k
+    out *= step
+    out += g
+    return out
+
+
+def _increments(spec: OdeSpec, k0: int, m: int) -> np.ndarray:
+    """The one-step increments D_k of steps k0 .. k0 + m - 1, shape (m, dim+1, dim+1).
+
+    The stage stacks are combined in place: a block's temporaries set the
+    oracle's peak memory."""
+    h = spec.t_final / spec.n_steps
+    g = _augmented(spec.generator, spec.dim, (2 * k0 + np.arange(2 * m + 1)) * (h / 2.0))
+    g0, g_half, g1 = g[0:-1:2], g[1::2], g[2::2]
+    k2 = _stage(g_half, g0, h / 2.0)
+    k3 = _stage(g_half, k2, h / 2.0)
+    k4 = _stage(g1, k3, h)
+    # (h/6)(K1 + 2 K2 + 2 K3 + K4), summed in place
+    k2 += k3
+    k2 *= 2.0
+    k2 += g0
+    k2 += k4
+    k2 *= h / 6.0
+    return k2
+
+
 def _affine_rk4(spec: OdeSpec) -> np.ndarray:
     """RK4 solution Y(t_final) of the augmented affine propagator
     Y' = [[A, c(t)], [0, 0]] Y with Y(0) = 1, so Y = [[M, d], [0, 1]].
 
-    The generator is evaluated at t + h/2 and t + h of each step; the t + h
-    value is the next step's t value."""
-    n = spec.dim
-    h = spec.t_final / spec.n_steps
-
-    def aug(t: float) -> np.ndarray:
-        a, c = spec.generator(t)
-        g = np.zeros((n + 1, n + 1))
-        g[:n, :n] = a
-        g[:n, n] = c
-        return g
-
-    y = np.eye(n + 1)
-    g0 = aug(0.0)
-    t = 0.0
-    for _ in range(spec.n_steps):
-        g_half = aug(t + h / 2.0)
-        g1 = aug(t + h)
-        k1 = g0 @ y
-        k2 = g_half @ (y + (h / 2.0) * k1)
-        k3 = g_half @ (y + (h / 2.0) * k2)
-        k4 = g1 @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g0 = g1
-        t += h
-    return y
+    Step k maps Y to (1 + D_k) Y with D_k = (h/6)(K1 + 2 K2 + 2 K3 + K4),
+    K1 = G0, K2 = G_half (1 + h/2 K1), K3 = G_half (1 + h/2 K2) and
+    K4 = G1 (1 + h K3).  Per block of steps k0 .. k0 + m - 1 the generator is
+    sampled once at the stage times (2 k0 + j) h/2, j = 0 .. 2m."""
+    total = np.zeros((spec.dim + 1, spec.dim + 1))  # Y - 1
+    for k0 in range(0, spec.n_steps, _BLOCK_STEPS):
+        block = _compose(_increments(spec, k0, min(_BLOCK_STEPS, spec.n_steps - k0)))
+        total = total + block + block @ total
+    return np.eye(spec.dim + 1) + total
 
 
 def integrate_propagator(spec: OdeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +199,8 @@ def convergence_report(spec: OdeSpec) -> dict:
         "diff_2n_4n": diff_24,
         "observed_order": float(np.log2(diff_12 / diff_24)) if diff_24 > 0 else float("inf"),
     }
-    a0, _ = spec.generator(0.0)
-    a1, _ = spec.generator(0.5 * spec.t_final)
+    g = _augmented(spec.generator, spec.dim, [0.0, 0.5 * spec.t_final])
+    a0, a1 = g[:, : spec.dim, : spec.dim]
     if np.array_equal(a0, a1):
         mat = runs[0][:, : spec.dim]
         report["expm_deviation"] = float(np.max(np.abs(mat - expm(a0 * spec.t_final))))

@@ -31,6 +31,7 @@ def test_drift_matrix_structure():
     assert_allclose(a @ sigma + sigma @ a.T, 0.0, atol=1e-15)
     c = cv.drive_vector(Q, 0.7)
     assert_allclose(c, [0.0, 0.0, 0.0, Q.omega * Q.force])
+    assert_allclose(cv.drive_vector(Q, np.array([0.0, 0.7])), [c, c], rtol=0, atol=0)
 
 
 def test_closed_propagator_vs_expm_and_rk4():

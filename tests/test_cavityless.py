@@ -48,6 +48,9 @@ def test_drive_vector():
     c = cl.drive_vector(P, t)
     assert_allclose(c[2], -P.omega * np.sin(P.omega * t))
     assert np.all(c[[0, 1, 4, 5]] == 0.0)
+    # an array of times gives one drive vector per time
+    ts = np.array([0.0, 0.4, 1.3])
+    assert_allclose(cl.drive_vector(P, ts), [cl.drive_vector(P, t) for t in ts], rtol=0, atol=1e-15)
 
 
 def test_closed_propagator_identity_at_zero():

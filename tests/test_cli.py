@@ -354,6 +354,17 @@ def test_validate_command(tmp_path, monkeypatch, capsys):
     assert len(doc["entries"]) == 6
 
 
+@pytest.mark.parametrize("omega_over_theta", ["100", "200"])
+def test_validate_resolves_a_fast_drive(omega_over_theta, tmp_path, monkeypatch, capsys):
+    # the ledger's RK4 step count follows Omega as well as ||A||: a drive
+    # this fast must not turn the truncation error into a failed verdict
+    argv = ["validate", "--theta-over-chi", "2", "--omega-over-theta", omega_over_theta]
+    code, _, _ = run_cli(argv, tmp_path, monkeypatch, capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "validation_ledger.json").read_text())
+    assert doc["healthy"] and all(e["pass"] for e in doc["entries"])
+
+
 def test_sql_command(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["sql", "--model", "cavity"], tmp_path, monkeypatch,
                            capsys)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from optoforce import cavityless
 from optoforce import gaussian as g
 from optoforce import oracle
 
@@ -81,7 +82,7 @@ def test_moments_transport_anisotropic_cov_under_non_normal_drift():
 
 def test_time_dependent_drive():
     # dm/dt = (cos t, 0): exact mean is (sin t, 0)
-    gen = lambda t: (np.zeros((2, 2)), np.array([np.cos(t), 0.0]))
+    gen = lambda t: (np.zeros((2, 2)), np.stack([np.cos(t), np.zeros_like(t)], axis=-1))
     spec = oracle.OdeSpec(2, gen, 2.0, 1000)
     m, _ = oracle.integrate_moments(spec, np.zeros(2), np.zeros((2, 2)))
     assert_allclose(m, [np.sin(2.0), 0.0], atol=1e-12)
@@ -91,7 +92,7 @@ def test_propagator_track_matches_runs_from_zero():
     # one forward pass of composed segments against a run from t = 0 at each
     # time, for a time-dependent drive; a repeated time adds no segment
     a = np.array([[0.0, 1.3], [-1.3, 0.0]])
-    gen = lambda t: (a, np.array([np.cos(2.0 * t), 0.5]))
+    gen = lambda t: (a, np.stack([np.cos(2.0 * t), np.full_like(t, 0.5)], axis=-1))
     times = [0.0, 0.4, 0.4, 1.5, 3.0]
     mats, disps = oracle.integrate_propagator_track(2, gen, times, 1000)
     assert len(mats) == len(disps) == len(times)
@@ -102,6 +103,58 @@ def test_propagator_track_matches_runs_from_zero():
         m_ref, d_ref = oracle.integrate_propagator(oracle.OdeSpec(2, gen, t, 4000))
         assert_allclose(m, m_ref, atol=1e-12)
         assert_allclose(d, d_ref, atol=1e-12)
+
+
+def parametric_generator(t):
+    # A(t) and c(t) both time-dependent, on an array of times
+    a = np.zeros(np.shape(t) + (2, 2))
+    a[..., 0, 1] = 1.0 + 0.3 * np.sin(0.7 * t)
+    a[..., 1, 0] = -a[..., 0, 1]
+    a[..., 1, 1] = -0.1 * np.cos(t)
+    return a, np.stack([np.cos(2.0 * t), 0.5 * np.sin(t)], axis=-1)
+
+
+def stage_rk4_reference(gen, dim, t_final, n_steps):
+    """Textbook RK4 of Y' = [[A, c], [0, 0]] Y, Y(0) = 1, one stage at a time."""
+
+    def aug(t):
+        a, c = gen(np.array([t]))
+        y = np.zeros((dim + 1, dim + 1))
+        y[:dim, :dim] = a[0]
+        y[:dim, dim] = c[0]
+        return y
+
+    h = t_final / n_steps
+    y = np.eye(dim + 1)
+    for k in range(n_steps):
+        t = k * h
+        k1 = aug(t) @ y
+        k2 = aug(t + h / 2) @ (y + h / 2 * k1)
+        k3 = aug(t + h / 2) @ (y + h / 2 * k2)
+        k4 = aug(t + h) @ (y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[:dim, :dim], y[:dim, dim]
+
+
+@pytest.mark.parametrize("n_steps", [257, 1001])
+def test_propagator_matches_stage_by_stage_rk4(n_steps):
+    # the blocked increments are the same RK4 steps as the stage loop, also
+    # when the step count is not a multiple of the block size
+    mat, disp = oracle.integrate_propagator(oracle.OdeSpec(2, parametric_generator, 3.0, n_steps))
+    m_ref, d_ref = stage_rk4_reference(parametric_generator, 2, 3.0, n_steps)
+    assert_allclose(mat, m_ref, rtol=0, atol=1e-13)
+    assert_allclose(disp, d_ref, rtol=0, atol=1e-13)
+
+
+def test_propagator_keeps_precision_through_a_non_normal_transient():
+    # near theta = chi the cavityless propagator swings to |M| ~ 100 and back
+    # to 1 over Theta t = 2 pi; rounding that repeats every step (1 + D_k
+    # formed in double precision) is amplified to ~1e-9 there
+    p = cavityless.CavitylessParams.from_ratios(1.01, 12.0)
+    t = 2 * np.pi / p.Theta
+    spec = oracle.OdeSpec(6, lambda tau: cavityless.generator(p, tau), t, 6299)
+    mat, _ = oracle.integrate_propagator(spec)
+    assert np.max(np.abs(mat - cavityless.closed_propagator(p, t).mat)) <= 1e-10
 
 
 def test_convergence_report_fourth_order():
