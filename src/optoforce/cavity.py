@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .gaussian import (
     AffinePropagator,
@@ -217,6 +216,9 @@ def scan_noise_over_phi(
     Independent cross-check of minimize_noise_over_phi; the two agree to
     better than 1e-8.
     """
+    # imported on use: of the CLI commands only validate scans
+    from scipy.optimize import minimize_scalar
+
     phis = np.linspace(0.0, np.pi, PHI_SCAN_POINTS, endpoint=False)
 
     def cost(phi: float) -> float:

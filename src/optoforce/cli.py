@@ -3,10 +3,11 @@
 Commands: sweep, fig2, power-scaling, validate, sql.  Configuration
 precedence is CLI flag > config file (key=value lines, # comments) >
 documented default.  Outputs are CSV (default) or JSON, written atomically
-(temp file + rename); floats are serialized with 17 significant digits so
-parsing reproduces them bit-exactly; non-finite values appear as lowercase
-"inf"/"nan", strings in JSON.  Exit codes: 0 success, 1 validation failure,
-2 invalid input or a result outside its domain (overflow, negative variance).
+(temp file + rename); CSV floats carry 17 significant digits and JSON floats
+are the shortest round-trip ``repr``, so parsing reproduces them bit-exactly;
+non-finite values appear as lowercase "inf"/"nan", strings in JSON.  Exit
+codes: 0 success, 1 validation failure, 2 invalid input or a result outside
+its domain (overflow, negative variance, a time grid too large for memory).
 """
 
 from __future__ import annotations
@@ -181,27 +182,49 @@ def _jsonable(x):
     return x
 
 
-def _json(doc: dict, records: list | None = None) -> str:
-    """The text of every JSON output; ``records`` must be free of non-finite floats."""
-    doc = _jsonable(doc)
-    if records is not None:
-        doc["records"] = records
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json(doc: dict) -> str:
+    """The text of every JSON output: sorted keys, two-space indent."""
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# _emit_table writes this under "records" and puts the records text in place
+# of its _RECORDS_SLOT text; at two spaces of indent after a newline, the slot
+# can only be the top-level key
+_PLACEHOLDER = "\0"
+_RECORDS_SLOT = '\n  "records": ' + json.dumps(_PLACEHOLDER)
+
+
+def _json_cells(array: np.ndarray) -> list[str]:
+    """The JSON text of each value of one column, as json.dumps writes it."""
+    values = array.tolist()
+    if array.dtype == bool:
+        return ["true" if v else "false" for v in values]
+    cells = list(map(repr, values))
+    for i in np.flatnonzero(~np.isfinite(array)):
+        cells[i] = '"%s"' % fmt17(values[i])
+    return cells
 
 
 def _emit_table(columns: dict, fmt: str, doc: dict) -> str:
     """CSV under a header of the column names (bools as 0/1), or JSON as
-    ``doc`` plus one record per row under "records"."""
+    ``doc`` plus one record per row under "records".
+
+    The JSON is the text of ``json.dumps(..., indent=2, sort_keys=True)`` of
+    per-row dicts, built column by column: one record template with the keys
+    in sorted order, filled from one list of cell texts per column.
+    """
     names = list(columns)
     arrays = [np.asarray(column) for column in columns.values()]
-    values = [array.tolist() for array in arrays]
     if fmt == "csv":
         row = ",".join(["%.17g"] * len(names))
-        return "\n".join([",".join(names), *(row % r for r in zip(*values))]) + "\n"
-    for array, column in zip(arrays, values):
-        for i in np.flatnonzero(~np.isfinite(array)):
-            column[i] = fmt17(column[i])
-    return _json(doc, [dict(zip(names, r)) for r in zip(*values)])
+        values = [array.tolist() for array in arrays]
+        return "\n".join([",".join(names), *map(row.__mod__, zip(*values))]) + "\n"
+    order = sorted(range(len(names)), key=names.__getitem__)
+    record = "{" + ",".join(f"\n      {json.dumps(names[i])}: %s" for i in order) + "\n    }"
+    cells = [_json_cells(arrays[i]) for i in order]
+    records = ",\n    ".join(map(record.__mod__, zip(*cells)))
+    text = _json({**doc, "records": _PLACEHOLDER})
+    return text.replace(_RECORDS_SLOT, f'\n  "records": [\n    {records}\n  ]', 1)
 
 
 def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> str:
@@ -389,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(exc, ArithmeticError):  # a Python float overflowed
                 exc = f"the inputs overflow the closed forms ({exc})"
             code, error = 2, exc
+        except MemoryError as exc:  # of the inputs only the time grid sets an array size
+            code, error = 2, f"points: the time grid does not fit in memory ({exc})"
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     if error is not None:

@@ -8,10 +8,15 @@ quadrature.  All constructors return immutable states; all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
+
+# exact 2019 SI values, bit-equal to scipy.constants.hbar and .k; defined here
+# so that importing the package does not load scipy
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 _SYMMETRY_TOL = 1e-12
 _UNCERTAINTY_TOL = 1e-10

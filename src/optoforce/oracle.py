@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 #: t -> (A, c(t)) on a 1-D array of k times: A broadcastable to (k, dim, dim)
 #: and c to (k, dim)
@@ -202,6 +201,8 @@ def convergence_report(spec: OdeSpec) -> dict:
     g = _augmented(spec.generator, spec.dim, [0.0, 0.5 * spec.t_final])
     a0, a1 = g[:, : spec.dim, : spec.dim]
     if np.array_equal(a0, a1):
+        from scipy.linalg import expm  # imported on use: the CLI starts without scipy
+
         mat = runs[0][:, : spec.dim]
         report["expm_deviation"] = float(np.max(np.abs(mat - expm(a0 * spec.t_final))))
     return report
@@ -335,6 +336,8 @@ def _tmsv_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _squeezed_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
     """Moments of exp[zeta* a^2 - zeta a^dag^2]|0>, zeta = (s/2) e^{2i phi}."""
+    from scipy.linalg import expm  # imported on use: the CLI starts without scipy
+
     cut = spec.cutoff()
     a = _ladder(cut)
     zeta = 0.5 * spec.param * np.exp(2j * spec.phi)

@@ -105,6 +105,9 @@ BAD_INPUTS = [
     (["sweep", "-o", "DIR"], "out"),
     (["sql", "-o", "DIR"], "out"),
     (["validate", "-o", "DIR"], "out"),
+    # numpy refuses a 6.94 EiB grid at once, so these allocate nothing
+    (["sweep", "--points", "1000000000000000000"], "points"),
+    (["fig2", "--points", "1000000000000000000"], "points"),
 ]
 
 
@@ -261,6 +264,68 @@ def test_json_output(tmp_path, monkeypatch, capsys):
     assert len(doc["records"]) == 5
     assert doc["records"][0]["f_min"] == "inf"  # non-finite as string in JSON
     assert isinstance(doc["records"][1]["f_min"], float)
+
+
+# The columnar JSON emitter against json.dumps of per-row dicts, and the CSV
+# emitter against one "%.17g" row per record.
+EDGE_VALUES = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 3.0]
+EDGE_TABLE = {
+    "t_scaled": np.linspace(0.0, 1.0, len(EDGE_VALUES)),
+    "f_min": np.array(EDGE_VALUES),
+    "in_regime": np.arange(len(EDGE_VALUES)) % 3 == 0,
+    "noise": np.array(EDGE_VALUES[::-1]),
+}
+# keys that sort before ("metadata", "model") and after ("slope_*") "records"
+EDGE_DOC = {"slope_small_power": -0.5, "slope_large_power": float("nan"), "model": "cavity",
+            "metadata": {"s": 1.0, "params": {"f": -np.inf}, "model": "cavity"}}
+
+
+def _reference_json(columns: dict, doc: dict) -> str:
+    def cell(x):
+        return cli.fmt17(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+    def jsonable(x):
+        return {k: jsonable(v) for k, v in x.items()} if isinstance(x, dict) else cell(x)
+
+    values = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    records = [{name: cell(x) for name, x in zip(columns, row)} for row in values]
+    return json.dumps({**jsonable(doc), "records": records},
+                      indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _reference_csv(columns: dict) -> str:
+    values = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    rows = [",".join("%.17g" % x for x in row) for row in values]
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+def _two_row_curve():
+    curve = cli.analysis.run_sweep(cli.analysis.SweepSpec("cavity", 0.0, 1.0, 2, s=1.0))
+    return {name: getattr(curve, name) for name in cli.CSV_HEADER.split(",")}, curve.metadata
+
+
+@pytest.mark.parametrize("table", ["edge values", "two-row curve"])
+def test_emit_table_matches_json_dumps_and_csv_rows(table):
+    if table == "edge values":
+        columns, doc = EDGE_TABLE, EDGE_DOC
+    else:
+        columns, metadata = _two_row_curve()
+        doc = {"metadata": metadata}
+    text = cli._emit_table(columns, "json", doc)
+    assert text == _reference_json(columns, doc)
+    assert cli._emit_table(columns, "csv", doc) == _reference_csv(columns)
+    json.loads(text, parse_constant=lambda token: pytest.fail(f"not strict JSON: {token}"))
+
+
+def test_cli_import_loads_no_scipy():
+    # in a subprocess: this test process has scipy loaded already
+    code = ("import sys, optoforce.cli as c; c.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --- commands ------------------------------------------------------------

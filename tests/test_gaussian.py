@@ -42,6 +42,12 @@ def test_thermal_rejects_negative():
         g.thermal_state(-0.1)
 
 
+def test_constants_equal_scipy_constants():
+    # defined in gaussian so that importing optoforce does not load scipy
+    assert g.hbar == hbar
+    assert g.k_B == k_B
+
+
 def test_nbar_from_temperature():
     # pick omega, T with hbar*omega/(kB*T) = 1
     temp = 1.0
