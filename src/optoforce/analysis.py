@@ -13,6 +13,12 @@ from . import __version__, cavity, cavityless, oracle
 SPOT_CHECK_TOL = 1e-8
 SPOT_CHECKS_PER_CURVE = 5
 
+#: Most RK4 steps that one oracle certificate may take: the spot-checks of one
+#: sweep, or one propagator track of the validation ledger.  About 10 s at the
+#: oracle's ~1e6 steps/s; at the CLI defaults a sweep's spot-checks take at
+#: most 2.0e4 steps and a ledger track 2.4e4.
+RK4_STEP_BUDGET = 10_000_000
+
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]
 
 # the sampling and the peak threshold of signal_dominant_frequencies
@@ -84,6 +90,10 @@ class SensitivityCurve:
         }
 
 
+class StepBudgetError(ValueError):
+    """The RK4 oracle would need more than RK4_STEP_BUDGET steps to certify a result."""
+
+
 def _max(values) -> float:
     """Largest value, or NaN if any value is NaN (the builtin max can drop a NaN)."""
     return float(np.max(values))
@@ -99,15 +109,28 @@ def _rk4_steps(gen, omega: float, dt: float) -> int:
     return max(1000, int(np.ceil(max(norm, omega / 10) * dt / 0.01)))
 
 
+def _check_step_budget(n_steps: int, check: str, model: str, p, t_final: float) -> None:
+    """Raise StepBudgetError, naming the inputs, if n_steps exceeds RK4_STEP_BUDGET."""
+    if n_steps > RK4_STEP_BUDGET:
+        raise StepBudgetError(
+            f"rk4 steps: {check} to t={t_final:.6g} would take {n_steps:.3g} RK4 "
+            f"steps, over the budget of {RK4_STEP_BUDGET:.3g} (model={model} {p}); "
+            "the oracle cannot certify a time span this long at these parameters"
+        )
+
+
 def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise) -> None:
     """The RK4 oracle's moments at a few grid points against the values the
-    sweep computed there; aborts on disagreement."""
+    sweep computed there; aborts on disagreement, and before any RK4 step if
+    the checks would exceed RK4_STEP_BUDGET."""
     scheme = SCHEMES[model]
     obs = scheme.readout_observable().coeffs
     gen = lambda t: scheme.generator(p, t)
-    for t, sig_cf, noise_cf in zip(times, signal_per_f, noise):
+    steps = [_rk4_steps(gen, p.omega, t) for t in times]
+    _check_step_budget(sum(steps), "the spot-checks", model, p, max(times))
+    for t, n_steps, sig_cf, noise_cf in zip(times, steps, signal_per_f, noise):
         m0 = scheme.meter_state(p, t, s, n_th)
-        spec = oracle.OdeSpec(len(obs), gen, t, _rk4_steps(gen, p.omega, t))
+        spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
         mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
         sig_rk = float(obs @ mean) / p.force
         noise_rk = float(obs @ cov @ obs)
@@ -156,8 +179,12 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
 
     sig = np.empty(spec.n_points)
     noi = np.empty(spec.n_points)
-    for i, t in enumerate(times):
-        sig[i], noi[i] = scheme.readout(p, t, s, n_th)
+    # _f_min names every value that is not finite: numpy's warnings about
+    # them would only repeat it.  Python floats are the same IEEE doubles as
+    # the grid's, with cheaper scalar arithmetic.
+    with np.errstate(all="ignore"):
+        for i, t in enumerate(times.tolist()):
+            sig[i], noi[i] = scheme.readout(p, t, s, n_th)
     fmin, snr = _f_min(spec.model, t_scaled, sig, noi, s, n_th)
     rng = np.random.default_rng(zlib.crc32(f"{spec.model}/{s}/{n_th}".encode()))
     idx = np.sort(rng.choice(
@@ -189,7 +216,8 @@ def sql_baseline(model: str, params: dict, t: float) -> float:
     time t, checked like one sweep point and spot-checked by the oracle."""
     scheme = SCHEMES[model]
     p = scheme.params_from_ratios(params)
-    sig, noi = scheme.readout(p, t, 0.0, 0.0)
+    with np.errstate(all="ignore"):  # as in run_sweep: _f_min names a non-finite value
+        sig, noi = scheme.readout(p, t, 0.0, 0.0)
     t_scaled = np.array([t * scheme.time_unit(p)])
     fmin, _ = _f_min(model, t_scaled, np.array([sig]), np.array([noi]), 0.0, 0.0)
     _spot_check(model, p, [t], 0.0, 0.0, [sig], [noi])
@@ -305,11 +333,18 @@ def _ledger_entry(name, description, adopted, literal, deviation_adopted,
     }
 
 
-def _propagator_track(dim: int, gen, omega: float, t_grid):
-    """RK4 propagators at each time of the sorted t_grid, in one forward pass
-    whose segments all take the _rk4_steps of the longest one."""
+def _propagator_track(model: str, p, t_grid):
+    """RK4 propagators of the model at each time of the sorted t_grid, in one
+    forward pass whose segments all take the _rk4_steps of the longest one;
+    stops before any RK4 step if the pass would exceed RK4_STEP_BUDGET."""
+    scheme = SCHEMES[model]
+    gen = lambda tau: scheme.generator(p, tau)
     dt = float(np.max(np.diff(t_grid, prepend=0.0)))
-    return oracle.integrate_propagator_track(dim, gen, t_grid, _rk4_steps(gen, omega, dt))
+    n_sub = _rk4_steps(gen, p.omega, dt)
+    _check_step_budget(len(t_grid) * n_sub, "the ledger's propagator track", model, p,
+                       float(t_grid[-1]))
+    dim = len(scheme.readout_observable().coeffs)
+    return oracle.integrate_propagator_track(dim, gen, t_grid, n_sub)
 
 
 def validation_ledger(params: dict | None = None) -> dict:
@@ -329,7 +364,7 @@ def validation_ledger(params: dict | None = None) -> dict:
 
     # --- propagator force terms: trig form vs the published hyperbolic term
     t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
-    mats, disps = _propagator_track(6, lambda tau: cavityless.generator(p, tau), w, t_grid)
+    mats, disps = _propagator_track("cavityless", p, t_grid)
     devs_ad, devs_lit = [], []
     for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavityless.closed_propagator(p, t)
@@ -440,7 +475,7 @@ def validation_ledger(params: dict | None = None) -> dict:
 
     # --- cavity propagator vs RK4
     t_grid = np.linspace(0.2, 4 * np.pi, 24) / q.omega
-    mats, disps = _propagator_track(4, lambda tau: cavity.generator(q, tau), q.omega, t_grid)
+    mats, disps = _propagator_track("cavity", q, t_grid)
     devs_cav = []
     for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavity.closed_propagator(q, t)

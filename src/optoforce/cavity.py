@@ -12,6 +12,7 @@ Var(Y) at the decorrelation times Omega*t = 2*pi*k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class CavityParams:
         if not np.isfinite(self.g_alpha):
             raise ValueError("g_alpha must be finite")
 
-    @property
+    @functools.cached_property
     def r(self) -> float:
         """The combination 2*g*alpha/Omega entering every closed form."""
         return 2.0 * self.g_alpha / self.omega
@@ -129,6 +130,10 @@ def readout_observable() -> LinearObservable:
     return LinearObservable(np.array([0.0, -1.0, 0.0, 0.0]))
 
 
+#: Coefficients of the readout, read by noise at every call
+_READOUT = readout_observable().coeffs
+
+
 def initial_state(meter: MeterSqueezing, n_th: float) -> GaussianState:
     """Squeezed cavity meter tensor thermal mirror, in mode order (a, b)."""
     return tensor([single_mode_squeezed(meter.s, meter.phi), thermal_state(n_th)])
@@ -143,8 +148,7 @@ def signal(params: CavityParams, t: float) -> float:
 def noise(params: CavityParams, t: float, meter: MeterSqueezing, n_th: float) -> float:
     """Var(Y)(t) from covariance propagation of the initial state."""
     prop = closed_propagator(params, t)
-    z = readout_observable().coeffs
-    zt = prop.mat.T @ z
+    zt = prop.mat.T @ _READOUT
     v0 = initial_state(meter, n_th).cov
     return float(zt @ v0 @ zt)
 
@@ -177,9 +181,10 @@ def _phi_quadratic_terms(params: CavityParams, t: float, s: float) -> tuple[floa
     """Meter part of Var(Y) as (const + A cos 2phi + B sin 2phi)."""
     r, w = params.r, params.omega
     c = r**2 * (w * t - np.sin(w * t))
+    sh = np.sinh(2.0 * s)
     const = 0.25 * (1.0 + c**2) * np.cosh(2.0 * s)
-    a = 0.25 * (1.0 - c**2) * np.sinh(2.0 * s)
-    b = -0.5 * c * np.sinh(2.0 * s)
+    a = 0.25 * (1.0 - c**2) * sh
+    b = -0.5 * c * sh
     return const, a, b
 
 

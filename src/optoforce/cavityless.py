@@ -14,6 +14,7 @@ measured variance.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ from .gaussian import (
 REGIME_RATIO_MIN = 10.0
 
 _DEGENERATE_TOL = 1e-9
+
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
 
 #: chi in from_ratios: the Stokes coupling sets the unit of time
 CHI = 1.0
@@ -67,9 +71,22 @@ class CavitylessParams:
                 stacklevel=2,
             )
 
-    @property
+    # the params are immutable: the constants of the closed forms are
+    # computed once per instance, on first use
+
+    @functools.cached_property
     def Theta(self) -> float:
         return float(np.sqrt(self.theta**2 - self.chi**2))
+
+    @functools.cached_property
+    def _drift_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (A, A^2) of closed_propagator.  generator builds its own
+        A through drift_matrix: the oracle never reads this cache."""
+        a = drift_matrix(self)
+        a2 = a @ a
+        a.setflags(write=False)
+        a2.setflags(write=False)
+        return a, a2
 
     @classmethod
     def from_ratios(
@@ -139,9 +156,9 @@ def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
     _check_nondegenerate(params)
     chi, th, w, f = params.chi, params.theta, params.omega, params.force
     Th = params.Theta
-    a = drift_matrix(params)
+    a, a2 = params._drift_powers
     st, ct = np.sin(Th * t), np.cos(Th * t)
-    mat = np.eye(6) + a * (st / Th) + (a @ a) * ((1.0 - ct) / Th**2)
+    mat = _EYE6 + a * (st / Th) + a2 * ((1.0 - ct) / Th**2)
 
     sw, cw = np.sin(w * t), np.cos(w * t)
     den = w**2 - Th**2
@@ -160,6 +177,10 @@ def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
 def z_i_observable() -> LinearObservable:
     """Imaginary heterodyne quadrature Z_I = Y1 + Y2 of the sideband modes."""
     return LinearObservable(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
+
+
+#: Coefficients of Z_I, read by noise at every point
+_Z_I = z_i_observable().coeffs
 
 
 def initial_state(s: float, n_th: float) -> GaussianState:
@@ -187,8 +208,7 @@ def signal(params: CavitylessParams, t: float) -> float:
 def noise(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
     """Var(Z_I)(t) from covariance propagation of the initial state."""
     prop = closed_propagator(params, t)
-    z = z_i_observable().coeffs
-    zt = prop.mat.T @ z
+    zt = prop.mat.T @ _Z_I
     v0 = initial_state(s, n_th).cov
     return float(zt @ v0 @ zt)
 

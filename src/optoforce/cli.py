@@ -7,7 +7,8 @@ documented default.  Outputs are CSV (default) or JSON, written atomically
 are the shortest round-trip ``repr``, so parsing reproduces them bit-exactly;
 non-finite values appear as lowercase "inf"/"nan", strings in JSON.  Exit
 codes: 0 success, 1 validation failure, 2 invalid input or a result outside
-its domain (overflow, negative variance, a time grid too large for memory).
+its domain (overflow, negative variance, a time grid too large for memory or
+too long for the RK4 oracle's step budget).
 """
 
 from __future__ import annotations

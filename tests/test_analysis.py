@@ -87,7 +87,9 @@ def test_spot_check_fails_on_nan():
             analysis._spot_check("cavityless", p, t, 0.0, 0.0, *bad)
 
 
+@pytest.mark.filterwarnings("error")
 def test_run_sweep_rejects_non_finite_values():
+    # _f_min names the value; numpy warns about none of the overflows before it
     spec = analysis.SweepSpec("cavity", 0.0, np.pi, 11, 400.0, 0.0)
     with pytest.raises(ValueError, match="noise: not finite"):
         analysis.run_sweep(spec)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -173,6 +174,33 @@ def test_validate_overflow_stops_before_any_rk4_step(argv, tmp_path, monkeypatch
                             lambda *args, name=name: calls.append(name))
     code, _, err = run_cli(["validate", *argv], tmp_path, monkeypatch, capsys)
     assert code == 2 and "error: the inputs overflow" in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# Time spans the RK4 oracle would need 1e8 steps or more to certify: a long
+# grid, or a long disentangling time through a small Theta.
+OVER_BUDGET = [
+    ["sweep", "--model", "cavityless", "--tmax-scaled", "1e6"],
+    ["sweep", "--model", "cavity", "--tmax-scaled", "1e6"],
+    ["sweep", "--tmax-scaled", "1e300"],
+    ["sweep", "--theta-over-chi", "1.000000000001"],
+    ["sql", "--theta-over-chi", "1.000000000001"],
+    ["validate", "--theta-over-chi", "1.000000000001"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET, ids=[" ".join(a) for a in OVER_BUDGET])
+def test_step_budget_stops_before_any_rk4_step(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("integrate_propagator", "integrate_moments"):
+        monkeypatch.setattr(cli.analysis.oracle, name,
+                            lambda *args, name=name: calls.append(name))
+    code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
+    assert code == 2 and err.count("error: ") == 1
+    assert re.search(r"error: rk4 steps: .* would take \d(\.\d+)?e\+\d+ RK4 steps, "
+                     r"over the budget of 1e\+07 \(model=", err), err
+    assert "Traceback" not in err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 
