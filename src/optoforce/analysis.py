@@ -1,4 +1,4 @@
-"""Parameter sweeps, SQL baselines, power scaling and the validation ledger."""
+"""Parameter sweeps, power scaling and the validation ledger."""
 
 from __future__ import annotations
 
@@ -211,25 +211,6 @@ def fig2_curves(
     ]
 
 
-def sql_baseline(model: str, params: dict, t: float) -> float:
-    """f_min with vacuum meter and zero-temperature probe (s = n_th = 0) at
-    time t, checked like one sweep point and spot-checked by the oracle."""
-    scheme = SCHEMES[model]
-    p = scheme.params_from_ratios(params)
-    with np.errstate(all="ignore"):  # as in run_sweep: _f_min names a non-finite value
-        sig, noi = scheme.readout(p, t, 0.0, 0.0)
-    t_scaled = np.array([t * scheme.time_unit(p)])
-    fmin, _ = _f_min(model, t_scaled, np.array([sig]), np.array([noi]), 0.0, 0.0)
-    _spot_check(model, p, [t], 0.0, 0.0, [sig], [noi])
-    return float(fmin[0])
-
-
-def disentangling_time(model: str, params: dict) -> float:
-    """Theta*t = pi (cavityless) or Omega*t = 2*pi (cavity), in absolute units."""
-    scheme = SCHEMES[model]
-    return scheme.T_STAR / scheme.time_unit(scheme.params_from_ratios(params))
-
-
 @dataclass(frozen=True)
 class PowerScalingSpec:
     """Laser-power sweep: couplings scale as sqrt(power), ratios held fixed."""
@@ -333,10 +314,11 @@ def _ledger_entry(name, description, adopted, literal, deviation_adopted,
     }
 
 
-def _propagator_track(model: str, p, t_grid):
-    """RK4 propagators of the model at each time of the sorted t_grid, in one
-    forward pass whose segments all take the _rk4_steps of the longest one;
-    stops before any RK4 step if the pass would exceed RK4_STEP_BUDGET."""
+def _plan_track(model: str, p, t_grid):
+    """A function that returns the RK4 propagators of the model at each time
+    of the sorted t_grid, in one forward pass whose segments all take the
+    _rk4_steps of the longest one.  Raises StepBudgetError here, before any
+    RK4 step, if the pass would exceed RK4_STEP_BUDGET."""
     scheme = SCHEMES[model]
     gen = lambda tau: scheme.generator(p, tau)
     dt = float(np.max(np.diff(t_grid, prepend=0.0)))
@@ -344,7 +326,7 @@ def _propagator_track(model: str, p, t_grid):
     _check_step_budget(len(t_grid) * n_sub, "the ledger's propagator track", model, p,
                        float(t_grid[-1]))
     dim = len(scheme.readout_observable().coeffs)
-    return oracle.integrate_propagator_track(dim, gen, t_grid, n_sub)
+    return lambda: oracle.integrate_propagator_track(dim, gen, t_grid, n_sub)
 
 
 def validation_ledger(params: dict | None = None) -> dict:
@@ -360,20 +342,25 @@ def validation_ledger(params: dict | None = None) -> dict:
     # forms stop here, before any RK4 entry is integrated
     cavity.closed_propagator(q, 4 * np.pi / q.omega)
     Th, w = p.Theta, p.omega
+    # both RK4 tracks are checked against the step budget before either runs
+    t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
+    t_grid_cav = np.linspace(0.2, 4 * np.pi, 24) / q.omega
+    run_track = _plan_track("cavityless", p, t_grid)
+    run_track_cav = _plan_track("cavity", q, t_grid_cav)
     entries = []
 
-    # --- propagator force terms: trig form vs the published hyperbolic term
-    t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
-    mats, disps = _propagator_track("cavityless", p, t_grid)
+    # --- propagator force terms: trig form vs the published hyperbolic term;
+    # displacements per unit force, as the sweep columns
+    mats, disps = run_track()
     devs_ad, devs_lit = [], []
     for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavityless.closed_propagator(p, t)
-        devs_ad += [np.max(np.abs(m_rk - prop.mat)), np.max(np.abs(d_rk - prop.disp))]
-        # literal X1 force term: -[Omega sinh(Theta t) - sin(Omega t)] * chi Omega f / (Omega^2 - Theta^2)
-        lit_x1 = (
-            -(w * np.sinh(Th * t) - np.sin(w * t)) * p.chi * w * p.force / (w**2 - Th**2)
-        )
-        devs_lit.append(abs(lit_x1 - d_rk[0]))
+        devs_ad += [np.max(np.abs(m_rk - prop.mat)),
+                    np.max(np.abs(d_rk - prop.disp)) / abs(p.force)]
+        # literal X1 force term per unit f:
+        # -[Omega sinh(Theta t) - sin(Omega t)] chi Omega / (Omega^2 - Theta^2)
+        lit_x1 = -(w * np.sinh(Th * t) - np.sin(w * t)) * p.chi * w / (w**2 - Th**2)
+        devs_lit.append(abs(lit_x1 - d_rk[0] / p.force))
     dev_ad, dev_lit = _max(devs_ad), _max(devs_lit)
     entries.append(_ledger_entry(
         "cavityless force response (sinh term)",
@@ -473,13 +460,13 @@ def validation_ledger(params: dict | None = None) -> dict:
         "both code paths agree; validates the squeezed-state cross covariance",
     ))
 
-    # --- cavity propagator vs RK4
-    t_grid = np.linspace(0.2, 4 * np.pi, 24) / q.omega
-    mats, disps = _propagator_track("cavity", q, t_grid)
+    # --- cavity propagator vs RK4, displacements per unit force
+    mats, disps = run_track_cav()
     devs_cav = []
-    for t, m_rk, d_rk in zip(t_grid, mats, disps):
+    for t, m_rk, d_rk in zip(t_grid_cav, mats, disps):
         prop = cavity.closed_propagator(q, t)
-        devs_cav += [np.max(np.abs(m_rk - prop.mat)), np.max(np.abs(d_rk - prop.disp))]
+        devs_cav += [np.max(np.abs(m_rk - prop.mat)),
+                     np.max(np.abs(d_rk - prop.disp)) / abs(q.force)]
     dev_cav = _max(devs_cav)
     entries.append(_ledger_entry(
         "cavity propagator",

@@ -359,9 +359,12 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_sql(cfg: RunConfig) -> int:
     out = _out_file(cfg, f"sql_{cfg.model}.{cfg.format}")
-    t = analysis.disentangling_time(cfg.model, cfg.params)
-    value = analysis.sql_baseline(cfg.model, cfg.params, t)
-    t_scaled = analysis.SCHEMES[cfg.model].T_STAR
+    # the last row of a two-point sweep to the disentangling time, with vacuum
+    # meter and zero-temperature probe: checked and spot-checked like any row
+    spec = analysis.SweepSpec(cfg.model, 0.0, analysis.SCHEMES[cfg.model].T_STAR, 2,
+                              0.0, 0.0, cfg.params)
+    curve = analysis.run_sweep(spec)
+    t_scaled, value = float(curve.t_scaled[-1]), float(curve.f_min[-1])
     if cfg.format == "csv":
         text = f"model,t_scaled,f_min\n{cfg.model},{fmt17(t_scaled)},{fmt17(value)}\n"
     else:

@@ -58,7 +58,8 @@ def _augmented(generator: Generator, dim: int, times) -> np.ndarray:
 @dataclass(frozen=True)
 class OdeSpec:
     """Fixed-step RK4 problem: generator t -> (A, c) on an array of times
-    (see Generator), horizon and step count."""
+    (see Generator), horizon and step count; a step with ||A(0)|| h >=
+    _STEP_SAFETY is refused, naming the step count it needs."""
 
     dim: int
     generator: Generator
@@ -73,18 +74,14 @@ class OdeSpec:
         a, c = self.generator(np.zeros(1))
         if np.shape(a)[-2:] != (self.dim, self.dim) or np.shape(c)[-1:] != (self.dim,):
             raise ValueError("generator output does not match dim")
-
-
-def _check_step(spec: OdeSpec) -> None:
-    a = _augmented(spec.generator, spec.dim, [0.0])[0, : spec.dim, : spec.dim]
-    h = spec.t_final / spec.n_steps
-    norm = np.linalg.norm(a, 2)
-    if norm * abs(h) >= _STEP_SAFETY:
-        needed = int(np.ceil(norm * abs(spec.t_final) / _STEP_SAFETY)) + 1
-        raise ValueError(
-            f"step size too large: ||A|| h = {norm * abs(h):.3g} >= {_STEP_SAFETY}; "
-            f"use n_steps >= {needed}"
-        )
+        norm = np.linalg.norm(np.reshape(a, (-1, self.dim, self.dim))[0], 2)
+        step = norm * abs(self.t_final / self.n_steps)
+        if step >= _STEP_SAFETY:
+            needed = int(np.ceil(norm * abs(self.t_final) / _STEP_SAFETY)) + 1
+            raise ValueError(
+                f"step size too large: ||A|| h = {step:.3g} >= {_STEP_SAFETY}; "
+                f"use n_steps >= {needed}"
+            )
 
 
 def _compose(incs: np.ndarray) -> np.ndarray:
@@ -143,7 +140,6 @@ def _affine_rk4(spec: OdeSpec) -> np.ndarray:
 
 def integrate_propagator(spec: OdeSpec) -> tuple[np.ndarray, np.ndarray]:
     """RK4 solution of M' = A M, d' = A d + c with M(0) = 1, d(0) = 0."""
-    _check_step(spec)
     y = _affine_rk4(spec)
     return y[: spec.dim, : spec.dim], y[: spec.dim, spec.dim]
 
@@ -177,35 +173,6 @@ def integrate_propagator_track(
         mats.append(m)
         disps.append(d)
     return mats, disps
-
-
-def convergence_report(spec: OdeSpec) -> dict:
-    """Self-convergence certificate for the RK4 oracle.
-
-    Runs the propagator at n, 2n and 4n steps, reports the max componentwise
-    differences of (M, d) and the observed convergence order; for a
-    time-independent A also the deviation of M from the matrix exponential.
-    """
-    runs = [
-        np.column_stack(integrate_propagator(
-            OdeSpec(spec.dim, spec.generator, spec.t_final, spec.n_steps * mult)))
-        for mult in (1, 2, 4)
-    ]
-    diff_12, diff_24 = (float(np.max(np.abs(a - b))) for a, b in zip(runs, runs[1:]))
-    report = {
-        "n_steps": spec.n_steps,
-        "diff_n_2n": diff_12,
-        "diff_2n_4n": diff_24,
-        "observed_order": float(np.log2(diff_12 / diff_24)) if diff_24 > 0 else float("inf"),
-    }
-    g = _augmented(spec.generator, spec.dim, [0.0, 0.5 * spec.t_final])
-    a0, a1 = g[:, : spec.dim, : spec.dim]
-    if np.array_equal(a0, a1):
-        from scipy.linalg import expm  # imported on use: the CLI starts without scipy
-
-        mat = runs[0][:, : spec.dim]
-        report["expm_deviation"] = float(np.max(np.abs(mat - expm(a0 * spec.t_final))))
-    return report
 
 
 # ---------------------------------------------------------------------------

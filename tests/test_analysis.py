@@ -106,18 +106,6 @@ def test_fig2_curves():
         assert_allclose(c.t_scaled[-1], t_stop)
 
 
-def test_sql_baseline_frozen_values():
-    params = analysis.DEFAULT_PARAMS
-    t_cl = analysis.disentangling_time("cavityless", params)
-    t_cv = analysis.disentangling_time("cavity", params)
-    assert_allclose(t_cl * cl.params_from_ratios(params).Theta, np.pi)
-    assert_allclose(t_cv, 2 * np.pi)
-    assert_allclose(analysis.sql_baseline("cavityless", params, t_cl),
-                    0.5048645724184414, rtol=1e-13)
-    assert_allclose(analysis.sql_baseline("cavity", params, t_cv),
-                    0.28209676949637014, rtol=1e-13)
-
-
 def test_power_scaling_cavity_slopes():
     spec = analysis.PowerScalingSpec("cavity", tuple(np.logspace(-3, 3, 25)))
     table = analysis.power_scaling(spec)

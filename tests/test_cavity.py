@@ -111,14 +111,15 @@ def test_noise_literal_normalization():
 
 
 def test_minimize_noise_over_phi_matches_scan():
-    t = 2 * np.pi / Q.omega
-    for s in (0.0, 1.0, 5.0):
-        phi_a, n_a = cv.minimize_noise_over_phi(Q, t, s, 0.0)
-        phi_s, n_s = cv.scan_noise_over_phi(Q, t, s, 0.0)
-        assert abs(n_a - n_s) < 1e-8
-        assert n_a <= n_s + 1e-12
+    for wt in (1.3, 2 * np.pi, 7.0):
+        for s in (0.0, 1.0, 5.0):
+            for n_th in (0.0, 0.5, 300.0):
+                phi_a, n_a = cv.minimize_noise_over_phi(Q, wt / Q.omega, s, n_th)
+                phi_s, n_s = cv.scan_noise_over_phi(Q, wt / Q.omega, s, n_th)
+                assert abs(n_a - n_s) < 1e-8
+                assert n_a <= n_s + 1e-12
     # frozen optimum at s = 1
-    phi_a, n_a = cv.minimize_noise_over_phi(Q, t, 1.0, 0.0)
+    phi_a, n_a = cv.minimize_noise_over_phi(Q, 2 * np.pi / Q.omega, 1.0, 0.0)
     assert_allclose(phi_a, 0.7827503744424058, rtol=1e-12)
     assert_allclose(n_a, 0.06802788690975436, rtol=1e-12)
 

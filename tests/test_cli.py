@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from optoforce import cli
 
@@ -187,6 +188,8 @@ OVER_BUDGET = [
     ["sweep", "--theta-over-chi", "1.000000000001"],
     ["sql", "--theta-over-chi", "1.000000000001"],
     ["validate", "--theta-over-chi", "1.000000000001"],
+    # the cavity track is over budget: it stops before the cavityless one runs
+    ["validate", "--g-alpha-over-omega", "1e4"],
 ]
 
 
@@ -456,6 +459,42 @@ def test_validate_resolves_a_fast_drive(omega_over_theta, tmp_path, monkeypatch,
     assert code == 0
     doc = json.loads((tmp_path / "validation_ledger.json").read_text())
     assert doc["healthy"] and all(e["pass"] for e in doc["entries"])
+
+
+def test_validate_compares_displacements_per_unit_force(tmp_path, monkeypatch, capsys):
+    # the force displacement grows with f; its RK4 deviation per unit f does not
+    devs = {}
+    for f in ("1", "1e6"):
+        code, _, _ = run_cli(["validate", "--f", f, "-o", str(tmp_path / f"ledger_{f}.json")],
+                             tmp_path, monkeypatch, capsys)
+        assert code == 0
+        doc = json.loads((tmp_path / f"ledger_{f}.json").read_text())
+        devs[f] = [e["engine_vs_adopted_max_deviation"] for e in doc["entries"]]
+    for dev_1, dev_f in zip(devs["1"], devs["1e6"]):
+        assert dev_f / 2 <= dev_1 <= 2 * dev_f
+
+
+# f_min at the disentangling time with vacuum meter and zero-temperature probe
+SQL_FROZEN = {"cavityless": 0.5048645724184414, "cavity": 0.28209676949637014}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("model", ["cavityless", "cavity"])
+def test_sql_frozen_values(model, fmt, tmp_path, monkeypatch, capsys):
+    code, _, _ = run_cli(["sql", "--model", model, "--format", fmt], tmp_path, monkeypatch,
+                         capsys)
+    assert code == 0
+    text = (tmp_path / f"sql_{model}.{fmt}").read_text()
+    if fmt == "csv":
+        header, row = text.splitlines()
+        assert header == "model,t_scaled,f_min"
+        name, t_scaled, f_min = row.split(",")
+        doc = {"model": name, "t_scaled": float(t_scaled), "f_min": float(f_min)}
+    else:
+        doc = json.loads(text)
+    assert doc["model"] == model
+    assert doc["t_scaled"] == cli.analysis.SCHEMES[model].T_STAR  # Theta t = pi, Omega t = 2 pi
+    assert_allclose(doc["f_min"], SQL_FROZEN[model], rtol=1e-13)
 
 
 def test_sql_command(tmp_path, monkeypatch, capsys):

@@ -111,6 +111,17 @@ def test_single_mode_squeezed_cross_term_sign():
     assert_allclose(st.cov[0, 1], -np.sinh(2.0) / 4.0)
 
 
+def test_single_mode_squeezed_angle_rotates_the_quadratures():
+    # cov(s, phi) = R(phi) cov(s, 0) R(phi)^T: the identity the cavity phi
+    # scan rests on
+    for s in (0.0, 0.3, 1.0, 5.0, -2.0):
+        cov0 = g.single_mode_squeezed(s, 0.0).cov
+        for phi in np.linspace(0.0, 2 * np.pi, 37):
+            rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            cov = g.single_mode_squeezed(s, phi).cov
+            assert_allclose(cov, rot @ cov0 @ rot.T, rtol=0, atol=1e-15 * np.max(np.abs(cov0)))
+
+
 @pytest.mark.parametrize("s,phi", [(0.3, 0.0), (1.0, 0.7), (1.0, 2.5)])
 def test_single_mode_squeezed_matches_fock_oracle(s, phi):
     st = g.single_mode_squeezed(s, phi)
