@@ -26,11 +26,11 @@ SPECTRUM_CYCLES = 40.0
 SPECTRUM_SAMPLES = 8192
 SPECTRUM_PEAK_FRACTION = 0.1
 
+#: The ratios of both schemes' params; f is no input, every output is per unit f
 DEFAULT_PARAMS = {
     "theta_over_chi": 1.025,
     "omega_over_theta": 10.3,
     "g_alpha_over_omega": 0.2,
-    "f": 1.0,
 }
 
 
@@ -44,6 +44,15 @@ DEFAULT_PARAMS = {
 SCHEMES = {"cavityless": cavityless, "cavity": cavity}
 
 
+def full_params(params: dict | None) -> dict:
+    """DEFAULT_PARAMS updated by params; a key not in DEFAULT_PARAMS is a ValueError."""
+    unknown = sorted(set(params or {}) - set(DEFAULT_PARAMS))
+    if unknown:
+        raise ValueError(f"params: unknown key {unknown[0]!r}; the keys are "
+                         f"{', '.join(DEFAULT_PARAMS)}")
+    return {**DEFAULT_PARAMS, **(params or {})}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One curve at (s, n_th) over a grid of scaled time (Theta*t or Omega*t)."""
@@ -54,9 +63,10 @@ class SweepSpec:
     n_points: int = 401
     s: float = 0.0
     n_th: float = 0.0
-    params: dict = field(default_factory=lambda: dict(DEFAULT_PARAMS))
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", full_params(self.params))
         if self.model not in SCHEMES:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n_points < 2:
@@ -132,7 +142,7 @@ def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise
         m0 = scheme.meter_state(p, t, s, n_th)
         spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
         mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
-        sig_rk = float(obs @ mean) / p.force
+        sig_rk = float(obs @ mean)
         noise_rk = float(obs @ cov @ obs)
         # the RK4 truncation error scales with the largest covariance entry
         # (~e^{2|s|}(2 n_th + 1)/4), which can dwarf the readout variance
@@ -203,7 +213,6 @@ def fig2_curves(
 ) -> list[SensitivityCurve]:
     """The Fig.-2 style curves, (s, n_th) in the caption triple, to twice the
     disentangling time: six with both models."""
-    params = dict(DEFAULT_PARAMS, **(params or {}))
     return [
         run_sweep(SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, s, n_th, params))
         for model in models
@@ -217,10 +226,11 @@ class PowerScalingSpec:
 
     model: str
     multipliers: tuple
-    params: dict = field(default_factory=lambda: dict(DEFAULT_PARAMS))
+    params: dict = field(default_factory=dict)
     s: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "params", full_params(self.params))
         if self.model not in SCHEMES:
             raise ValueError(f"unknown model {self.model!r}")
         if any(m <= 0 for m in self.multipliers):
@@ -283,7 +293,7 @@ def signal_dominant_frequencies(model: str, params: dict) -> np.ndarray:
     cavity signal only at Omega.
     """
     scheme = SCHEMES[model]
-    p = scheme.params_from_ratios(params)
+    p = scheme.params_from_ratios(full_params(params))
     t_max = SPECTRUM_CYCLES * np.pi / scheme.time_unit(p)
     t = np.linspace(0.0, t_max, SPECTRUM_SAMPLES)
     y = scheme.signal(p, t)
@@ -335,7 +345,7 @@ def validation_ledger(params: dict | None = None) -> dict:
     Machine-readable report; 'healthy' is False if any adopted closed form
     deviates from the oracle beyond 1e-8.
     """
-    params = dict(DEFAULT_PARAMS, **(params or {}))
+    params = full_params(params)
     p = cavityless.params_from_ratios(params)
     q = cavity.params_from_ratios(params)
     # the ledger's last cavity time: inputs that overflow the cavity closed
@@ -350,17 +360,17 @@ def validation_ledger(params: dict | None = None) -> dict:
     entries = []
 
     # --- propagator force terms: trig form vs the published hyperbolic term;
-    # displacements per unit force, as the sweep columns
+    # at f = 1 the displacements are per unit force, as the sweep columns
     mats, disps = run_track()
     devs_ad, devs_lit = [], []
     for t, m_rk, d_rk in zip(t_grid, mats, disps):
         prop = cavityless.closed_propagator(p, t)
         devs_ad += [np.max(np.abs(m_rk - prop.mat)),
-                    np.max(np.abs(d_rk - prop.disp)) / abs(p.force)]
+                    np.max(np.abs(d_rk - prop.disp))]
         # literal X1 force term per unit f:
         # -[Omega sinh(Theta t) - sin(Omega t)] chi Omega / (Omega^2 - Theta^2)
         lit_x1 = -(w * np.sinh(Th * t) - np.sin(w * t)) * p.chi * w / (w**2 - Th**2)
-        devs_lit.append(abs(lit_x1 - d_rk[0] / p.force))
+        devs_lit.append(abs(lit_x1 - d_rk[0]))
     dev_ad, dev_lit = _max(devs_ad), _max(devs_lit)
     entries.append(_ledger_entry(
         "cavityless force response (sinh term)",
@@ -460,13 +470,13 @@ def validation_ledger(params: dict | None = None) -> dict:
         "both code paths agree; validates the squeezed-state cross covariance",
     ))
 
-    # --- cavity propagator vs RK4, displacements per unit force
+    # --- cavity propagator vs RK4
     mats, disps = run_track_cav()
     devs_cav = []
     for t, m_rk, d_rk in zip(t_grid_cav, mats, disps):
         prop = cavity.closed_propagator(q, t)
         devs_cav += [np.max(np.abs(m_rk - prop.mat)),
-                     np.max(np.abs(d_rk - prop.disp)) / abs(q.force)]
+                     np.max(np.abs(d_rk - prop.disp))]
     dev_cav = _max(devs_cav)
     entries.append(_ledger_entry(
         "cavity propagator",

@@ -53,9 +53,9 @@ class CavityParams:
         return 2.0 * self.g_alpha / self.omega
 
     @classmethod
-    def from_ratios(cls, g_alpha_over_omega: float, force: float = 1.0) -> "CavityParams":
-        """Build from g*alpha/Omega with Omega = OMEGA."""
-        return cls(g_alpha=g_alpha_over_omega * OMEGA, omega=OMEGA, force=force)
+    def from_ratios(cls, g_alpha_over_omega: float) -> "CavityParams":
+        """Build from g*alpha/Omega with Omega = OMEGA and f = 1."""
+        return cls(g_alpha=g_alpha_over_omega * OMEGA, omega=OMEGA)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def closed_propagator(params: CavityParams, t: float) -> AffinePropagator:
         ]
     )
     d = np.array([0.0, -r * sec * f, (1.0 - c) * f, s * f])
-    return AffinePropagator(mat, d, time=t)
+    return AffinePropagator(mat, d)
 
 
 def readout_observable() -> LinearObservable:
@@ -287,8 +287,8 @@ f_min_at_t_star = f_min_2pi
 
 
 def params_from_ratios(ratios: dict) -> CavityParams:
-    """Params from the ratio dict of analysis.DEFAULT_PARAMS (Omega = 1)."""
-    return CavityParams.from_ratios(ratios["g_alpha_over_omega"], force=ratios.get("f", 1.0))
+    """Params from the ratio dict of analysis.DEFAULT_PARAMS (Omega = 1, f = 1)."""
+    return CavityParams.from_ratios(ratios["g_alpha_over_omega"])
 
 
 def time_unit(params: CavityParams) -> float:

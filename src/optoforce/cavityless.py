@@ -89,10 +89,8 @@ class CavitylessParams:
         return a, a2
 
     @classmethod
-    def from_ratios(
-        cls, theta_over_chi: float, omega_over_theta: float, force: float = 1.0
-    ) -> "CavitylessParams":
-        """Build from the ratio-based parameterization with chi = CHI.
+    def from_ratios(cls, theta_over_chi: float, omega_over_theta: float) -> "CavitylessParams":
+        """Build from the ratio-based parameterization with chi = CHI and f = 1.
 
         omega_over_theta is Omega/Theta, with Theta = sqrt(theta^2 - chi^2).
         """
@@ -100,7 +98,7 @@ class CavitylessParams:
         # a Python float, as in the Theta property: Omega^2 then raises
         # OverflowError instead of silently becoming inf
         Theta = float(np.sqrt(theta**2 - CHI**2))
-        return cls(chi=CHI, theta=theta, omega=omega_over_theta * Theta, force=force)
+        return cls(chi=CHI, theta=theta, omega=omega_over_theta * Theta)
 
 
 def drift_matrix(params: CavitylessParams) -> np.ndarray:
@@ -171,7 +169,7 @@ def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
     d[3] = w * f * (w * sw - Th * st) / den  # Yb
     d[4] = th * w * f * (sw - (w / Th) * st) / den  # X2
     d[5] = -th * w * f * (cw - ct) / den  # Y2
-    return AffinePropagator(mat, d, time=t)
+    return AffinePropagator(mat, d)
 
 
 def z_i_observable() -> LinearObservable:
@@ -292,10 +290,8 @@ f_min_at_t_star = f_min_at_pi
 
 
 def params_from_ratios(ratios: dict) -> CavitylessParams:
-    """Params from the ratio dict of analysis.DEFAULT_PARAMS (chi = 1)."""
-    return CavitylessParams.from_ratios(
-        ratios["theta_over_chi"], ratios["omega_over_theta"], force=ratios.get("f", 1.0)
-    )
+    """Params from the ratio dict of analysis.DEFAULT_PARAMS (chi = 1, f = 1)."""
+    return CavitylessParams.from_ratios(ratios["theta_over_chi"], ratios["omega_over_theta"])
 
 
 def time_unit(params: CavitylessParams) -> float:

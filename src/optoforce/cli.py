@@ -1,8 +1,9 @@
 """Command-line interface: sweeps, figure datasets, scaling and validation.
 
-Commands: sweep, fig2, power-scaling, validate, sql.  Configuration
-precedence is CLI flag > config file (key=value lines, # comments) >
-documented default.  Outputs are CSV (default) or JSON, written atomically
+Commands: sweep, fig2, power-scaling, validate, sql, each taking as flags and
+config keys only the inputs COMMANDS lists for it.  Precedence is CLI flag >
+config file (key=value lines, # comments) > documented default.  Outputs are
+per unit force (f = 1), CSV (default) or JSON, written atomically
 (temp file + rename); CSV floats carry 17 significant digits and JSON floats
 are the shortest round-trip ``repr``, so parsing reproduces them bit-exactly;
 non-finite values appear as lowercase "inf"/"nan", strings in JSON.  Exit
@@ -44,7 +45,6 @@ DEFAULTS = {
 }
 
 _FLOAT_KEYS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, float))
-_GRID_KEYS = ("tmin_scaled", "tmax_scaled", "points")
 _FORMATS = ("csv", "json")
 
 
@@ -76,8 +76,11 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"{key}: malformed number {raw!r}") from None
 
 
-def parse_config_file(text: str) -> dict:
-    """key=value per line; '#' starts a comment; unknown keys are rejected."""
+def parse_config_file(text: str, command: str) -> dict:
+    """key=value per line; '#' starts a comment; a key the command does not
+    take is rejected."""
+    spec = COMMANDS[command]
+    inputs = {*(("model", "format") if spec.models else ()), "out", *spec.keys}
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -89,6 +92,8 @@ def parse_config_file(text: str) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key not in inputs:
+            raise ConfigError(f"config line {lineno}: {command} does not take {key!r}")
         out[key] = _coerce(key, raw)
     return out
 
@@ -97,8 +102,6 @@ def _validate(cfg: dict, command: str) -> None:
     for key in _FLOAT_KEYS:
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
-    if cfg["f"] == 0.0:
-        raise ConfigError("f: force strength must be nonzero")
     if cfg["theta_over_chi"] <= 1.0:
         raise ConfigError(
             "theta_over_chi: theta must exceed chi (theta/chi > 1 required)"
@@ -129,7 +132,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     if ns.config is not None:
         try:
             with open(ns.config) as fh:
-                cfg.update(parse_config_file(fh.read()))
+                cfg.update(parse_config_file(fh.read(), ns.command))
         except OSError as exc:
             raise ConfigError(f"config: cannot read {ns.config}: {exc}") from None
     for key in DEFAULTS:
@@ -142,24 +145,24 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry; each numeric DEFAULTS key is a flag."""
+    """One subparser per COMMANDS entry, a flag per input; flags match by full
+    name only, so a prefix (--f of --format) is an unrecognized argument."""
     parser = argparse.ArgumentParser(
         prog="optoforce",
         description="Quantum-limited optomechanical force-sensing curves",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
-        p.add_argument("--model", choices=spec.models)
-        p.add_argument("--format", choices=_FORMATS)
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
+        if spec.models:
+            p.add_argument("--model", choices=spec.models)
+            p.add_argument("--format", choices=_FORMATS)
         p.add_argument("-o", "--out", help="output file or directory")
-        # flag order in the usage text: the ratios, s, n_th, f, then the time grid
-        for key in sorted(DEFAULTS, key=lambda k: (k in _GRID_KEYS, k == "f")):
-            value = DEFAULTS[key]
-            if isinstance(value, (int, float)) and (key not in _GRID_KEYS or key in spec.grid):
-                p.add_argument("--" + key.replace("_", "-"), type=type(value))
+        for key in spec.keys:
+            p.add_argument("--" + key.replace("_", "-"), type=type(DEFAULTS[key]))
     return parser
 
 
@@ -234,16 +237,6 @@ def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> str:
     return _emit_table(columns, fmt, {"metadata": curve.metadata})
 
 
-def parse_curve_csv(text: str) -> dict[str, np.ndarray]:
-    """Inverse of the CSV emitter; used by tests for round-trip checks."""
-    lines = text.strip().splitlines()
-    if lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    cols = CSV_HEADER.split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return {name: data[:, i] for i, name in enumerate(cols)}
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -258,11 +251,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _check_parent(cfg: RunConfig, path: str) -> None:
+    """Raise ConfigError if the nearest existing ancestor of path is a file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ConfigError(f"out: {parent} is a file; {cfg.command} cannot write under it")
+
+
 def _outdir(cfg: RunConfig) -> str:
     """-o names the output directory of fig2 and power-scaling."""
     path = cfg.out if cfg.out is not None else os.environ.get(OUTDIR_ENV, ".")
     if os.path.exists(path) and not os.path.isdir(path):
         raise ConfigError(f"out: {path} is a file; {cfg.command} writes into a directory")
+    _check_parent(cfg, path)
     return path
 
 
@@ -271,6 +274,7 @@ def _out_file(cfg: RunConfig, name: str) -> str:
     path = cfg.out or os.path.join(os.environ.get(OUTDIR_ENV, "."), name)
     if os.path.isdir(path):
         raise ConfigError(f"out: {path} is a directory; {cfg.command} writes one file")
+    _check_parent(cfg, path)
     return path
 
 
@@ -376,28 +380,29 @@ def _cmd_sql(cfg: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class Command:
-    """One CLI command: what runs it, its help line and the flags it takes."""
+    """One CLI command: what runs it, its help line and the inputs it reads."""
 
     handler: Callable[[RunConfig], int]
     help: str
-    models: tuple[str, ...]  # the valid --model values
+    models: tuple[str, ...]  # the valid --model values; none: no --model, no --format
     model: str | None  # the default --model
-    grid: tuple[str, ...] = ()  # the time-grid keys it takes as flags
+    keys: tuple[str, ...]  # the numeric DEFAULTS keys it reads, in usage order
 
 
 _ONE = tuple(analysis.SCHEMES)
 _BOTH = (*_ONE, "both")
+_RATIOS = tuple(analysis.DEFAULT_PARAMS)
 
 COMMANDS = {
-    "sweep": Command(_cmd_sweep, "time sweep for one model and (s, n_th)",
-                     _ONE, _ONE[0], _GRID_KEYS),
+    "sweep": Command(_cmd_sweep, "time sweep for one model and (s, n_th)", _ONE, _ONE[0],
+                     (*_RATIOS, "s", "n_th", "tmin_scaled", "tmax_scaled", "points")),
     "fig2": Command(_cmd_fig2, "the six figure curves (SQL, thermal, squeezed)",
-                    _BOTH, "both", ("points",)),
+                    _BOTH, "both", (*_RATIOS, "points")),
     "power-scaling": Command(_cmd_power_scaling, "f_min versus laser-power multiplier",
-                             _BOTH, "both"),
-    "validate": Command(_cmd_validate, "oracle validation ledger", (), None),
+                             _BOTH, "both", (*_RATIOS, "s")),
+    "validate": Command(_cmd_validate, "oracle validation ledger", (), None, _RATIOS),
     "sql": Command(_cmd_sql, "standard quantum limit at the disentangling time",
-                   _ONE, _ONE[0]),
+                   _ONE, _ONE[0], _RATIOS),
 }
 
 
@@ -418,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
             code, error = 2, exc
         except MemoryError as exc:  # of the inputs only the time grid sets an array size
             code, error = 2, f"points: the time grid does not fit in memory ({exc})"
+        except OSError as exc:  # parse_config names the config file's own: an output's
+            code, error = 2, f"out: {exc}"
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
     if error is not None:

@@ -13,11 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# exact 2019 SI values, bit-equal to scipy.constants.hbar and .k; defined here
-# so that importing the package does not load scipy
-hbar = 6.62607015e-34 / (2 * math.pi)
-k_B = 1.380649e-23
-
 _SYMMETRY_TOL = 1e-12
 _UNCERTAINTY_TOL = 1e-10
 
@@ -81,11 +76,10 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class AffinePropagator:
-    """Linear map x -> mat @ x + disp on quadrature space at a given time."""
+    """Linear map x -> mat @ x + disp on quadrature space."""
 
     mat: np.ndarray
     disp: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         mat = _freeze(self.mat)
@@ -134,15 +128,6 @@ def thermal_state(n_bar: float) -> GaussianState:
         raise ValueError("n_bar must be nonnegative")
     v = (2.0 * n_bar + 1.0) / 4.0
     return GaussianState(1, np.zeros(2), np.array([[v, 0.0], [0.0, v]]))
-
-
-def nbar_from_temperature(omega: float, temp: float) -> float:
-    """Mean thermal occupation 1/(exp(hbar*omega/kB*T) - 1) of a mode at omega [rad/s]."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if temp <= 0:
-        raise ValueError("temp must be positive")
-    return 1.0 / np.expm1(hbar * omega / (k_B * temp))
 
 
 def two_mode_squeezed(s: float) -> GaussianState:

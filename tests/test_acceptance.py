@@ -176,7 +176,7 @@ def test_criterion_09_figure_dataset(tmp_path, monkeypatch, capsys):
     for name in names:
         path = tmp_path / name
         assert path.exists(), f"missing {name}"
-        curves[name] = (path.read_text(), cli.parse_curve_csv(path.read_text()))
+        curves[name] = (path.read_text(), np.genfromtxt(path, delimiter=",", names=True))
 
     # deterministic: an independent recomputation reproduces the bytes
     spec = analysis.SweepSpec(

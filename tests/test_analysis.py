@@ -17,6 +17,25 @@ def test_sweep_spec_validation():
         analysis.SweepSpec("cavity", t_start=2.0, t_stop=1.0)
 
 
+def test_sweep_spec_merges_params_over_the_defaults():
+    spec = analysis.SweepSpec("cavityless", params={"theta_over_chi": 1.1})
+    assert spec.params == dict(analysis.DEFAULT_PARAMS, theta_over_chi=1.1)
+
+
+UNKNOWN_KEYS = [
+    (analysis.validation_ledger, {"theta_over_chii": 1.1}),
+    (analysis.fig2_curves, {"omega_over_thet": 20.0}),
+    (lambda params: analysis.PowerScalingSpec("cavity", (1.0,), params), {"f": 2.0}),
+]
+
+
+@pytest.mark.parametrize("call, params", UNKNOWN_KEYS,
+                         ids=[next(iter(params)) for _, params in UNKNOWN_KEYS])
+def test_unknown_param_key_is_an_error(call, params):
+    with pytest.raises(ValueError, match=f"params: unknown key {next(iter(params))!r}"):
+        call(params)
+
+
 def test_run_sweep_basic():
     spec = analysis.SweepSpec("cavityless", 0.0, np.pi, 41, 0.0, 0.0)
     curve = analysis.run_sweep(spec)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.constants import hbar, k as k_B
 
 from optoforce import gaussian as g
 from optoforce import oracle
@@ -40,27 +39,6 @@ def test_thermal_state_variance(n_bar, var):
 def test_thermal_rejects_negative():
     with pytest.raises(ValueError):
         g.thermal_state(-0.1)
-
-
-def test_constants_equal_scipy_constants():
-    # defined in gaussian so that importing optoforce does not load scipy
-    assert g.hbar == hbar
-    assert g.k_B == k_B
-
-
-def test_nbar_from_temperature():
-    # pick omega, T with hbar*omega/(kB*T) = 1
-    temp = 1.0
-    omega = k_B * temp / hbar
-    assert_allclose(g.nbar_from_temperature(omega, temp), 1.0 / (np.e - 1.0))
-    # ratio ln 2 gives exactly one excitation
-    assert_allclose(g.nbar_from_temperature(omega * np.log(2.0), temp), 1.0)
-    # deep ground-state limit
-    assert g.nbar_from_temperature(omega * 200.0, temp) < 1e-80
-    with pytest.raises(ValueError):
-        g.nbar_from_temperature(-1.0, temp)
-    with pytest.raises(ValueError):
-        g.nbar_from_temperature(omega, 0.0)
 
 
 def test_two_mode_squeezed_structure():
