@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -196,6 +195,11 @@ def _json(doc: dict) -> str:
 # can only be the top-level key
 _PLACEHOLDER = "\0"
 _RECORDS_SLOT = '\n  "records": ' + json.dumps(_PLACEHOLDER)
+# rows per piece of an emitted table, and characters per write of a file: the
+# text of a table is built and written in pieces of these sizes, so that only
+# the pieces and the joined text are ever held, not per-cell copies of it all
+_CHUNK_ROWS = 2048
+_WRITE_CHARS = 1 << 20
 
 
 def _json_cells(array: np.ndarray) -> list[str]:
@@ -215,20 +219,30 @@ def _emit_table(columns: dict, fmt: str, doc: dict) -> str:
 
     The JSON is the text of ``json.dumps(..., indent=2, sort_keys=True)`` of
     per-row dicts, built column by column: one record template with the keys
-    in sorted order, filled from one list of cell texts per column.
+    in sorted order, filled from one list of cell texts per column.  Either
+    text is built from pieces of _CHUNK_ROWS rows and joined once.
     """
     names = list(columns)
     arrays = [np.asarray(column) for column in columns.values()]
+    rows = min(map(len, arrays), default=0)
+    chunks = range(0, rows, _CHUNK_ROWS)
     if fmt == "csv":
-        row = ",".join(["%.17g"] * len(names))
-        values = [array.tolist() for array in arrays]
-        return "\n".join([",".join(names), *map(row.__mod__, zip(*values))]) + "\n"
+        row = ",".join(["%.17g"] * len(names)) + "\n"
+        pieces = [",".join(names) + "\n"]
+        for start in chunks:
+            values = [array[start:start + _CHUNK_ROWS].tolist() for array in arrays]
+            pieces.append("".join(map(row.__mod__, zip(*values))))
+        return "".join(pieces)
     order = sorted(range(len(names)), key=names.__getitem__)
     record = "{" + ",".join(f"\n      {json.dumps(names[i])}: %s" for i in order) + "\n    }"
-    cells = [_json_cells(arrays[i]) for i in order]
-    records = ",\n    ".join(map(record.__mod__, zip(*cells)))
-    text = _json({**doc, "records": _PLACEHOLDER})
-    return text.replace(_RECORDS_SLOT, f'\n  "records": [\n    {records}\n  ]', 1)
+    head, _, tail = _json({**doc, "records": _PLACEHOLDER}).partition(_RECORDS_SLOT)
+    pieces = [head, '\n  "records": [']
+    for start in chunks:
+        cells = [_json_cells(arrays[i][start:start + _CHUNK_ROWS]) for i in order]
+        pieces.append(",\n    " if start else "\n    ")
+        pieces.append(",\n    ".join(map(record.__mod__, zip(*cells))))
+    pieces += ["\n  ]" if rows else "]", tail]
+    return "".join(pieces)
 
 
 def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> str:
@@ -238,12 +252,18 @@ def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a new temp file and a rename, in slices of
+    _WRITE_CHARS, so that no encoded copy of the whole text is made.  The temp
+    file is created as open() creates a file (mode 0o666 less the umask), not
+    with mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,17 +412,78 @@ def _two_row_curve():
     return {name: getattr(curve, name) for name in cli.CSV_HEADER.split(",")}, curve.metadata
 
 
-@pytest.mark.parametrize("table", ["edge values", "two-row curve"])
+# row counts around the emitter's chunk boundaries, zero rows included
+CHUNK = cli._CHUNK_ROWS
+ROW_COUNTS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+@pytest.mark.parametrize("table", ["edge values", "two-row curve",
+                                   *(f"{rows} edge rows" for rows in ROW_COUNTS)])
 def test_emit_table_matches_json_dumps_and_csv_rows(table):
     if table == "edge values":
         columns, doc = EDGE_TABLE, EDGE_DOC
-    else:
+    elif table == "two-row curve":
         columns, metadata = _two_row_curve()
         doc = {"metadata": metadata}
+    else:  # EDGE_TABLE's rows repeated (or cut) to the row count
+        rows = int(table.split()[0])
+        columns = {name: np.resize(column, rows) for name, column in EDGE_TABLE.items()}
+        doc = EDGE_DOC
+    # line lists with their ends are equal exactly when the texts are; a failure
+    # names the first differing line, where a diff of the texts takes minutes
     text = cli._emit_table(columns, "json", doc)
-    assert text == _reference_json(columns, doc)
-    assert cli._emit_table(columns, "csv", doc) == _reference_csv(columns)
+    assert text.splitlines(True) == _reference_json(columns, doc).splitlines(True)
+    csv = cli._emit_table(columns, "csv", doc)
+    assert csv.splitlines(True) == _reference_csv(columns).splitlines(True)
     json.loads(text, parse_constant=lambda token: pytest.fail(f"not strict JSON: {token}"))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes above the
+    traced memory before the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_holds_about_twice_its_text(tmp_path):
+    # a curve-sized table, 50k rows of floats from 1e-8 to 1e8: a ~10 MB JSON text
+    rng = np.random.default_rng(0)
+    rows = 50_000
+    columns = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 9, rows)
+               for name in cli.CSV_HEADER.split(",")}
+    texts = {}
+    for fmt in ("csv", "json"):
+        texts[fmt], peak = _traced_peak(cli._emit_table, columns, fmt, {"metadata": {"s": 1.0}})
+        assert peak <= 2.5 * len(texts[fmt]), (fmt, peak / len(texts[fmt]))
+    assert len(texts["json"]) > 10_000_000
+    _, peak = _traced_peak(cli._atomic_write, str(tmp_path / "table.json"), texts["json"])
+    assert peak <= 3_000_000
+    assert (tmp_path / "table.json").read_text() == texts["json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask 022", "umask 077"])
+@pytest.mark.parametrize("argv", [["sweep", "--points", "5"],
+                                  ["fig2", "--model", "cavity", "--points", "5"],
+                                  ["validate"]], ids=["sweep", "fig2", "validate"])
+def test_outputs_get_the_mode_open_gives(argv, umask, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        code, _, _ = run_cli(argv, out, monkeypatch, capsys)
+    finally:
+        os.umask(previous)
+    assert code == 0
+    mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    assert mode == 0o666 & ~umask
+    written = list(out.iterdir())
+    assert written and {stat.S_IMODE(p.stat().st_mode) for p in written} == {mode}
 
 
 def test_cli_import_loads_no_scipy():
