@@ -177,22 +177,15 @@ def noise_literal(
     return float(out)
 
 
-def _phi_quadratic_terms(params: CavityParams, t: float, s: float) -> tuple[float, float, float]:
-    """Meter part of Var(Y) as (const + A cos 2phi + B sin 2phi)."""
-    r, w = params.r, params.omega
-    c = r**2 * (w * t - np.sin(w * t))
-    sh = np.sinh(2.0 * s)
-    const = 0.25 * (1.0 + c**2) * np.cosh(2.0 * s)
-    a = 0.25 * (1.0 - c**2) * sh
-    b = -0.5 * c * sh
-    return const, a, b
+def _mirror_term(r: float, sn, cs, n_th: float):
+    """Mirror part of Var(Y) from sin(Omega t) and cos(Omega t)."""
+    k2 = (r * sn) ** 2 + (r * (1.0 - cs)) ** 2
+    return 0.25 * k2 * (1.0 + 2.0 * n_th)
 
 
 def _mirror_noise(params: CavityParams, t: float, n_th: float) -> float:
-    r, w = params.r, params.omega
-    wt = w * t
-    k2 = (r * np.sin(wt)) ** 2 + (r * (1.0 - np.cos(wt))) ** 2
-    return 0.25 * k2 * (1.0 + 2.0 * n_th)
+    wt = params.omega * t
+    return _mirror_term(params.r, np.sin(wt), np.cos(wt), n_th)
 
 
 def minimize_noise_over_phi(
@@ -200,13 +193,21 @@ def minimize_noise_over_phi(
 ) -> tuple[float, float]:
     """Analytic minimum of Var(Y)(t) over the squeezing angle phi.
 
-    The meter contribution is a quadratic form in (cos phi, sin phi); its
-    minimum is the smaller eigenvalue, (1 + c^2) e^{-2|s|}/4 with
-    c = (2ga/Omega)^2 [Omega t - sin(Omega t)].
+    The meter contribution is const + A cos 2phi + B sin 2phi, a quadratic
+    form in (cos phi, sin phi); its minimum is the smaller eigenvalue,
+    (1 + c^2) e^{-2|s|}/4 with c = (2ga/Omega)^2 [Omega t - sin(Omega t)].
     """
-    const, a, b = _phi_quadratic_terms(params, t, s)
-    amp = np.hypot(a, b)
-    noise_min = const - amp + _mirror_noise(params, t, n_th)
+    # one sin and cos per call.  sn, and through it c, stay numpy floats:
+    # c**2 overflows to inf there, where a Python float raises OverflowError
+    r, wt = params.r, params.omega * t
+    sn, cs = np.sin(wt), np.cos(wt)
+    c = r**2 * (wt - sn)
+    c2 = c**2
+    sh = np.sinh(2.0 * s)
+    const = 0.25 * (1.0 + c2) * np.cosh(2.0 * s)
+    a = 0.25 * (1.0 - c2) * sh
+    b = -0.5 * c * sh
+    noise_min = const - np.hypot(a, b) + _mirror_term(r, sn, cs, n_th)
     # a cos(2phi) + b sin(2phi) is minimized at 2phi = atan2(-b, -a)
     phi_opt = 0.5 * np.arctan2(-b, -a) % np.pi
     return float(phi_opt), float(noise_min)

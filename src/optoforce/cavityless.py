@@ -79,14 +79,22 @@ class CavitylessParams:
         return float(np.sqrt(self.theta**2 - self.chi**2))
 
     @functools.cached_property
-    def _drift_powers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (A, A^2) of closed_propagator.  generator builds its own
-        A through drift_matrix: the oracle never reads this cache."""
+    def _drift_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (1, A, A^2) of closed_propagator.  generator builds its
+        own A through drift_matrix: the oracle never reads this cache."""
         a = drift_matrix(self)
         a2 = a @ a
         a.setflags(write=False)
         a2.setflags(write=False)
-        return a, a2
+        return _EYE6, a, a2
+
+    @functools.cached_property
+    def _z_i_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows 1 and 5 (Y1, Y2) of _drift_powers: the rows noise reads."""
+        powers = tuple(m[_Z_I_ROWS] for m in self._drift_powers)
+        for m in powers:
+            m.setflags(write=False)
+        return powers
 
     @classmethod
     def from_ratios(cls, theta_over_chi: float, omega_over_theta: float) -> "CavitylessParams":
@@ -142,11 +150,20 @@ def _check_nondegenerate(params: CavitylessParams) -> None:
         )
 
 
+def _homogeneous(params: CavitylessParams, t: float, powers) -> tuple:
+    """(rows of M(t), sin(Theta t), cos(Theta t)) for powers = the same rows
+    of (1, A, A^2): M = 1 + A sin(Theta t)/Theta + A^2 (1 - cos(Theta t))/Theta^2,
+    which follows from A^3 = -Theta^2 A sector-wise."""
+    e, a, a2 = powers
+    Th = params.Theta
+    st, ct = np.sin(Th * t), np.cos(Th * t)
+    return e + a * (st / Th) + a2 * ((1.0 - ct) / Th**2), st, ct
+
+
 def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
     """Exact propagator (M(t), d(t)) of the linear dynamics.
 
-    The homogeneous part follows from A^3 = -Theta^2 A sector-wise:
-    M = 1 + A sin(Theta t)/Theta + A^2 (1 - cos(Theta t))/Theta^2.
+    The homogeneous part M is _homogeneous on all six rows.
     The force displacement is the exact harmonic-drive response (the
     trigonometric form; the hyperbolic force term quoted for a1 in the
     source solutions fails the dynamics oracle and is not used here).
@@ -154,9 +171,7 @@ def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
     _check_nondegenerate(params)
     chi, th, w, f = params.chi, params.theta, params.omega, params.force
     Th = params.Theta
-    a, a2 = params._drift_powers
-    st, ct = np.sin(Th * t), np.cos(Th * t)
-    mat = _EYE6 + a * (st / Th) + a2 * ((1.0 - ct) / Th**2)
+    mat, st, ct = _homogeneous(params, t, params._drift_powers)
 
     sw, cw = np.sin(w * t), np.cos(w * t)
     den = w**2 - Th**2
@@ -177,8 +192,8 @@ def z_i_observable() -> LinearObservable:
     return LinearObservable(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
 
 
-#: Coefficients of Z_I, read by noise at every point
-_Z_I = z_i_observable().coeffs
+#: Rows of M(t) whose sum is u = M(t)^T z for Z_I = Y1 + Y2: [1, 5]
+_Z_I_ROWS = np.flatnonzero(z_i_observable().coeffs)
 
 
 def initial_state(s: float, n_th: float) -> GaussianState:
@@ -204,11 +219,17 @@ def signal(params: CavitylessParams, t: float) -> float:
 
 
 def noise(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
-    """Var(Z_I)(t) from covariance propagation of the initial state."""
-    prop = closed_propagator(params, t)
-    zt = prop.mat.T @ _Z_I
+    """Var(Z_I)(t) from covariance propagation of the initial state.
+
+    Z_I = Y1 + Y2 evolves into u = M(t)^T z, the sum of rows 1 and 5 of M(t):
+    the same doubles as M(t).T @ z, without the other four rows, the force
+    displacement or an AffinePropagator.
+    """
+    _check_nondegenerate(params)
+    rows, _, _ = _homogeneous(params, t, params._z_i_powers)
+    u = rows[0] + rows[1]
     v0 = initial_state(s, n_th).cov
-    return float(zt @ v0 @ zt)
+    return float(u @ v0 @ u)
 
 
 def noise_literal(params: CavitylessParams, t: float, s: float, n_th: float) -> float:

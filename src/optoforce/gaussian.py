@@ -8,6 +8,7 @@ quadrature.  All constructors return immutable states; all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,8 @@ import numpy as np
 
 _SYMMETRY_TOL = 1e-12
 _UNCERTAINTY_TOL = 1e-10
+
+_max = np.maximum.reduce
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -26,12 +29,6 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return sigma
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)  # cheaper than assigning a.flags.writeable
-    return a
-
-
 @dataclass(frozen=True)
 class GaussianState:
     """Mean quadrature vector and covariance matrix of an n-mode Gaussian state."""
@@ -41,22 +38,26 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
+        # this runs for every state, four times per cavityless grid point
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        mean = _freeze(self.mean)
-        cov = _freeze(self.cov)
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float)
+        mean.setflags(write=False)  # cheaper than assigning a.flags.writeable
+        cov.setflags(write=False)
         d = 2 * self.n_modes
         if mean.shape != (d,):
             raise ValueError(f"mean must have length {d}, got {mean.shape}")
         if cov.shape != (d, d):
             raise ValueError(f"cov must be {d}x{d}, got {cov.shape}")
-        # ndarray methods, not the np.max wrapper: this runs for every state
-        if not abs(cov - cov.T).max() <= _SYMMETRY_TOL:  # also true for inf or NaN
+        # abs(cov - cov.T).max(): numpy subtracts a contiguous copy of the
+        # transpose faster than the strided view, and the ufunc reduce skips
+        # the Python wrapper of ndarray.max
+        if not _max(abs(cov - cov.T.copy()), None) <= _SYMMETRY_TOL:  # also true for inf or NaN
             if not np.isfinite(cov).all():
                 raise ValueError("cov: not finite; the inputs overflow")
             raise ValueError("cov must be symmetric to within 1e-12")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        self.__dict__.update(mean=mean, cov=cov)  # the fields of a frozen instance
 
     def uncertainty_defect(self) -> float:
         """Smallest eigenvalue of cov + (i/2)*Sigma; physical states give >= -1e-10."""
@@ -82,8 +83,10 @@ class AffinePropagator:
     disp: np.ndarray
 
     def __post_init__(self):
-        mat = _freeze(self.mat)
-        disp = _freeze(self.disp)
+        mat = np.array(self.mat, dtype=float)
+        disp = np.array(self.disp, dtype=float)
+        mat.setflags(write=False)
+        disp.setflags(write=False)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("mat must be square")
         if disp.shape != (mat.shape[0],):
@@ -108,7 +111,8 @@ class LinearObservable:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = _freeze(self.coeffs)
+        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs.setflags(write=False)
         if coeffs.ndim != 1 or not np.any(coeffs):
             raise ValueError("coeffs must be a non-zero vector")
         object.__setattr__(self, "coeffs", coeffs)
@@ -126,8 +130,9 @@ def thermal_state(n_bar: float) -> GaussianState:
     """Single-mode thermal state with mean occupation n_bar."""
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
-    v = (2.0 * n_bar + 1.0) / 4.0
-    return GaussianState(1, np.zeros(2), np.array([[v, 0.0], [0.0, v]]))
+    cov = np.zeros((2, 2))  # cheaper than np.array of nested lists
+    cov[0, 0] = cov[1, 1] = (2.0 * n_bar + 1.0) / 4.0
+    return GaussianState(1, np.zeros(2), cov)
 
 
 def two_mode_squeezed(s: float) -> GaussianState:
@@ -181,13 +186,24 @@ def tensor(states: list[GaussianState]) -> GaussianState:
     return GaussianState(d // 2, mean, cov)
 
 
-def reorder_modes(state: GaussianState, order: list[int]) -> GaussianState:
-    """Permute modes so that new mode i is old mode order[i]."""
-    if sorted(order) != list(range(state.n_modes)):
+@functools.lru_cache(maxsize=64)
+def _quadrature_index(n_modes: int, order: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather indices of the mode permutation order, built once per
+    (n_modes, order): into the mean, and into the flattened covariance with
+    the covariance's shape."""
+    if sorted(order) != list(range(n_modes)):
         raise ValueError("order must be a permutation of range(n_modes)")
     idx = np.array([q for m in order for q in (2 * m, 2 * m + 1)])
-    cov = state.cov.take(idx, 0).take(idx, 1)
-    return GaussianState(state.n_modes, state.mean.take(idx), cov)
+    flat = idx[:, None] * len(idx) + idx
+    idx.setflags(write=False)
+    flat.setflags(write=False)
+    return idx, flat
+
+
+def reorder_modes(state: GaussianState, order: list[int]) -> GaussianState:
+    """Permute modes so that new mode i is old mode order[i]."""
+    idx, flat = _quadrature_index(state.n_modes, tuple(order))
+    return GaussianState(state.n_modes, state.mean.take(idx), state.cov.take(flat))
 
 
 def expectation(obs: LinearObservable, state: GaussianState) -> float:

@@ -208,6 +208,10 @@ WRITES_NOTHING = [
     (["power-scaling", "--model", "cavityless", "--omega-over-theta", "1e300"],
      "the inputs overflow"),
     (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"], "noise: not finite"),
+    # 2 n_th + 1 overflows: the thermal covariance is inf, and in the cavity
+    # 0 * inf is NaN at t = 0
+    (["sweep", "--model", "cavityless", "--n-th", "1e308"], "cov: not finite"),
+    (["sweep", "--model", "cavity", "--n-th", "1e308"], "noise: not finite"),
     (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
     (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
     (["power-scaling", "--s", "400"], "cov: "),

@@ -1,13 +1,28 @@
 """The per-point fast path against its textbook form, bit for bit.
 
 The closed forms cache the constants of their immutable params (Theta, r, A,
-A^2) and build states through lean bookkeeping; the functions below are the
-same expressions written out directly, with no cache and numpy's general
-indexing.  The arithmetic is the same, so the results must be equal, not close.
+A^2 and the two rows of them that Z_I reads), build states through lean
+bookkeeping (a cached permutation index) and evaluate each sine and cosine
+once; the functions below are the same expressions written out directly, with
+no cache, the full 6x6 propagator and numpy's general indexing.  The
+arithmetic is the same, so the results must be equal, not close.
+
+Equal, not close, is what keeps the sweep, fig2 and power-scaling files
+byte-identical, and it is fragile: x**2 and x*x differ in the last bit for
+about 1 double in 1000, and the sum of rows 1 and 5 of M equals M.T @ z only
+because z holds zeros and ones.  The fixed grid at the default ratios below
+misses a c**2 -> c*c rewrite in the cavity minimum, so a derandomized
+hypothesis property also draws the ratios, (s, n_th) and a sweep grid over the
+benchmark's domain (perfbench/workloads.py) with n_th up to 1e3 and s in
+[-5, 5].  It is budgeted at about 0.6 s on a quiet 2-CPU host: 150
+examples, about 42 000 cavity and 5 000 cavityless points, enough to catch
+that rewrite.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optoforce import analysis
 from optoforce import cavity as cv
@@ -68,11 +83,16 @@ def test_cavityless_fast_path_equals_textbook_form(s, n_th):
 
 def test_cached_drift_powers_are_read_only_and_not_the_oracles():
     p = cl.CavitylessParams.from_ratios(1.025, 10.3)
-    a, a2 = p._drift_powers
-    assert not a.flags.writeable and not a2.flags.writeable
+    e, a, a2 = p._drift_powers
+    rows = p._z_i_powers
+    for m in (e, a, a2, *rows):
+        assert not m.flags.writeable
     with pytest.raises(ValueError):
         a[0, 2] = 0.0
     assert np.array_equal(a, cl.drift_matrix(p)) and np.array_equal(a2, a @ a)
+    # noise reads rows 1 and 5 (Y1, Y2) of each power: Z_I = Y1 + Y2
+    for full, part in zip((np.eye(6), a, a2), rows):
+        assert np.array_equal(part, full[[1, 5]])
     # the RK4 oracle's generator builds its own A: it never reads the cache
     gen_a = cl.generator(p, 0.3)[0]
     assert gen_a is not a and not np.shares_memory(gen_a, a)
@@ -100,5 +120,39 @@ def test_cavity_fast_path_equals_textbook_form(s, n_th):
     assert q.r == 2.0 * q.g_alpha / q.omega
     times = scaled_times("cavity") / q.omega
     for t in [*times.tolist(), *times]:
+        assert cv.minimize_noise_over_phi(q, t, s, n_th) == textbook_minimize_noise_over_phi(
+            q, t, s, n_th)
+
+
+# --- both, over the benchmark's domain ----------------------------------------
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    theta_over_chi=st.floats(1.01, 1.2),
+    omega_over_theta=st.floats(6.0, 20.0),
+    g_alpha_over_omega=st.floats(0.05, 0.5),
+    s=st.floats(-5.0, 5.0),
+    n_th=st.floats(0.0, 1e3),
+    t_stop_scaled=st.floats(0.0, 4 * np.pi, exclude_min=True),
+    n_points=st.integers(2, 801),
+)
+def test_fast_path_equals_textbook_form_on_sweep_grids(
+    theta_over_chi, omega_over_theta, g_alpha_over_omega, s, n_th, t_stop_scaled, n_points
+):
+    p = cl.CavitylessParams.from_ratios(theta_over_chi, omega_over_theta)
+    q = cv.CavityParams.from_ratios(g_alpha_over_omega)
+    assert np.array_equal(cl.initial_state(s, n_th).cov, textbook_initial_cov(s, n_th))
+    # the grid run_sweep builds, as Python floats (the sweep loop), and at
+    # most 21 of its points as numpy floats too (the spot-checks and the
+    # ledger).  A last-bit change of c**2 reaches the cavity result at about 1
+    # point in 5000, so the cavity is checked at every grid point, the
+    # costlier cavityless noise at the 21
+    grid = np.linspace(0.0, t_stop_scaled, n_points)
+    some = grid[:: -(-n_points // 21)]
+    times_cl = some / textbook_theta(p)
+    for t in [*times_cl.tolist(), *times_cl]:
+        assert cl.noise(p, t, s, n_th) == textbook_noise(p, t, s, n_th)
+    for t in [*(grid / q.omega).tolist(), *(some / q.omega)]:
         assert cv.minimize_noise_over_phi(q, t, s, n_th) == textbook_minimize_noise_over_phi(
             q, t, s, n_th)
