@@ -36,8 +36,8 @@ DEFAULT_PARAMS = {
 
 #: The two measurement schemes.  Each module supplies the same names:
 #: params_from_ratios, time_unit, T_STAR (the scaled disentangling time),
-#: signal, readout, meter_state, readout_observable, generator,
-#: f_min_at_t_star, power_scaled and in_regime.  Callers look them up on the
+#: signal, readout, meter_state, readout_observable, generator, power_scaled
+#: and in_regime.  Callers look them up on the
 #: module at call time, so that a wrapper or patch set on the module later is
 #: seen.  The oracle side of a spot-check takes only generator, meter_state and
 #: readout_observable from a scheme, never its closed forms.
@@ -109,6 +109,12 @@ def _max(values) -> float:
     return float(np.max(values))
 
 
+def _deviation(a: float, b: float) -> float:
+    """|a - b|, and 0 where a == b, so that two equal infs agree; a NaN still
+    gives NaN."""
+    return 0.0 if a == b else abs(a - b)
+
+
 def _rk4_steps(gen, omega: float, dt: float) -> int:
     """RK4 steps over a time span dt, at least 1000.
 
@@ -129,16 +135,19 @@ def _check_step_budget(n_steps: int, check: str, model: str, p, t_final: float) 
         )
 
 
-def _spot_check(model: str, p, times, s: float, n_th: float, signal_per_f, noise) -> None:
-    """The RK4 oracle's moments at a few grid points against the values the
-    sweep computed there; aborts on disagreement, and before any RK4 step if
-    the checks would exceed RK4_STEP_BUDGET."""
+def _spot_check(model: str, params, times, s: float, n_th: float, signal_per_f, noise) -> None:
+    """The RK4 oracle's moments at a few times, each with its own params,
+    against the values computed there; aborts on disagreement, and before any
+    RK4 step if the checks together would exceed RK4_STEP_BUDGET."""
     scheme = SCHEMES[model]
     obs = scheme.readout_observable().coeffs
-    gen = lambda t: scheme.generator(p, t)
-    steps = [_rk4_steps(gen, p.omega, t) for t in times]
-    _check_step_budget(sum(steps), "the spot-checks", model, p, max(times))
-    for t, n_steps, sig_cf, noise_cf in zip(times, steps, signal_per_f, noise):
+    gens = [lambda t, p=p: scheme.generator(p, t) for p in params]
+    steps = [_rk4_steps(gen, p.omega, t) for gen, p, t in zip(gens, params, times)]
+    # the error names the longest check (of equal ones, the latest)
+    i = max(range(len(steps)), key=lambda k: (steps[k], times[k]))
+    _check_step_budget(sum(steps), "the spot-checks", model, params[i], times[i])
+    for p, gen, t, n_steps, sig_cf, noise_cf in zip(params, gens, times, steps,
+                                                     signal_per_f, noise):
         m0 = scheme.meter_state(p, t, s, n_th)
         spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
         mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
@@ -202,7 +211,7 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
         size=min(SPOT_CHECKS_PER_CURVE, spec.n_points - 1),
         replace=False,
     ))
-    _spot_check(spec.model, p, times[idx], s, n_th, sig[idx], noi[idx])
+    _spot_check(spec.model, [p] * idx.size, times[idx], s, n_th, sig[idx], noi[idx])
     return SensitivityCurve(
         spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin
     )
@@ -233,8 +242,10 @@ class PowerScalingSpec:
         object.__setattr__(self, "params", full_params(self.params))
         if self.model not in SCHEMES:
             raise ValueError(f"unknown model {self.model!r}")
-        if any(m <= 0 for m in self.multipliers):
-            raise ValueError("power multipliers must be positive")
+        if not self.multipliers:
+            raise ValueError("power scaling needs at least one multiplier")
+        if not all(0 < m < np.inf for m in self.multipliers):
+            raise ValueError("power multipliers must be positive and finite")
 
 
 def power_scaling(spec: PowerScalingSpec) -> dict:
@@ -243,27 +254,23 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     Cavityless: chi, theta -> sqrt(m) (chi0, theta0) at fixed theta/chi and
     fixed mirror frequency, evaluated at Theta(m) t = pi; points with
     omega^2/Theta^2 < 10 are flagged out-of-regime but kept.  Cavity:
-    g*alpha -> sqrt(m) (g*alpha)0 at Omega t = 2 pi.
+    g*alpha -> sqrt(m) (g*alpha)0 at Omega t = 2 pi.  Each row is a sweep row
+    at n_th = 0: readout, checked by _f_min, and the whole table spot-checked
+    against the RK4 oracle as one certificate.
     """
     mult = np.asarray(sorted(spec.multipliers), dtype=float)
-    fmin = np.empty_like(mult)
-    in_regime = np.ones_like(mult, dtype=bool)
     scheme = SCHEMES[spec.model]
     base = scheme.params_from_ratios(spec.params)
-    for i, m in enumerate(mult):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = scheme.power_scaled(base, m)
-            in_regime[i] = scheme.in_regime(p)
-            fmin[i] = scheme.f_min_at_t_star(p, spec.s)
-    # inf is legal (a vanishing signal); NaN or <= 0 means a negative variance
-    bad = np.flatnonzero(~(fmin > 0))
-    if bad.size:
-        raise ValueError(
-            f"f_min: {float(fmin[bad[0]])} at power multiplier {mult[bad[0]]:.6g} "
-            f"(model={spec.model} s={spec.s}); the closed forms lose their "
-            "precision at this squeezing"
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        params = [scheme.power_scaled(base, m) for m in mult]
+    in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
+    times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
+    with np.errstate(all="ignore"):  # as in run_sweep: _f_min names the value
+        sig, noi = np.array([scheme.readout(p, t, spec.s, 0.0)
+                             for p, t in zip(params, times)]).T
+    fmin, _ = _f_min(spec.model, np.full_like(mult, scheme.T_STAR), sig, noi, spec.s, 0.0)
+    _spot_check(spec.model, params, times, spec.s, 0.0, sig, noi)
 
     def slope(idx) -> float:
         x, y = np.log(mult[idx]), np.log(fmin[idx])
@@ -406,16 +413,18 @@ def validation_ledger(params: dict | None = None) -> dict:
         "the printed meter state",
     ))
 
-    # --- f_min at Theta t = pi: cosine sign in the denominator
+    # --- f_min at Theta t = pi: cosine sign in the denominator; the engine
+    # value is a sweep row's, _f_min of readout.  At an odd Omega/Theta the
+    # signal and the adopted denominator both vanish: two infs agree.
     s_vals = (0.0, 1.0, 5.0)
-    dev_ad = _max([
-        abs(cavityless.f_min_at_pi(p, s) - cavityless.f_min_at_pi_closed(p, s))
-        for s in s_vals
-    ])
-    dev_lit = _max([
-        abs(cavityless.f_min_at_pi(p, s) - cavityless.f_min_at_pi_literal(p, s))
-        for s in s_vals
-    ])
+    t_pi = np.array([cavityless.T_STAR])
+    dev_ad, dev_lit = [], []
+    for s in s_vals:
+        sig, noi = cavityless.readout(p, cavityless.T_STAR / Th, s, 0.0)
+        (engine,), _ = _f_min("cavityless", t_pi, np.array([sig]), np.array([noi]), s, 0.0)
+        dev_ad.append(_deviation(engine, cavityless.f_min_at_pi_closed(p, s)))
+        dev_lit.append(_deviation(engine, cavityless.f_min_at_pi_literal(p, s)))
+    dev_ad, dev_lit = _max(dev_ad), _max(dev_lit)
     entries.append(_ledger_entry(
         "cavityless f_min at Theta t = pi (cosine sign)",
         "minimum detectable force at the disentangling time",

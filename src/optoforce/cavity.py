@@ -248,14 +248,6 @@ def scan_noise_over_phi(
     return float(res.x % np.pi), float(res.fun)
 
 
-def f_min(params: CavityParams, t: float, meter: MeterSqueezing, n_th: float) -> float:
-    """Minimum detectable force sqrt(N)/|S| per unit f; inf at zero signal."""
-    sig_per_f = signal(params, t) / params.force
-    if sig_per_f == 0.0:
-        return float("inf")
-    return float(np.sqrt(noise(params, t, meter, n_th)) / abs(sig_per_f))
-
-
 def f_min_2pi(params: CavityParams, s: float) -> float:
     """f_min at Omega*t = 2*pi with the phi-optimized meter (thermal-free).
 
@@ -281,10 +273,6 @@ def f_min_2pi_literal(params: CavityParams, s: float) -> float:
 
 #: Scaled decorrelation time Omega*t at which the thermal noise cancels.
 T_STAR = 2.0 * np.pi
-
-# aliases: the original names keep their callers.  An alias is bound at
-# import, so a patch set later on the original name does not reach it.
-f_min_at_t_star = f_min_2pi
 
 
 def params_from_ratios(ratios: dict) -> CavityParams:

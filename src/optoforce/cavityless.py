@@ -259,32 +259,13 @@ def noise_literal(params: CavitylessParams, t: float, s: float, n_th: float) -> 
     return float(term1 + term2 + term3)
 
 
-def f_min(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
-    """Minimum detectable force sqrt(N)/|S| per unit f; inf where the signal vanishes."""
-    sig_per_f = signal(params, t) / params.force
-    if sig_per_f == 0.0:
-        return float("inf")
-    return float(np.sqrt(noise(params, t, s, n_th)) / abs(sig_per_f))
-
-
-def f_min_at_pi(params: CavitylessParams, s: float, n_th: float = 0.0) -> float:
-    """f_min at the disentangling time Theta*t = pi (thermal noise cancels there)."""
-    w, Th = params.omega, params.Theta
-    half_ratio = w / (2.0 * Th)
-    if abs(half_ratio - round(half_ratio)) < 1e-6:
-        warnings.warn(
-            "Omega/(2 Theta) is an integer within tolerance: the signal at "
-            "Theta*t = pi may vanish and f_min diverge",
-            stacklevel=2,
-        )
-    return f_min(params, np.pi / Th, s, n_th)
-
-
 def f_min_at_pi_closed(params: CavitylessParams, s: float) -> float:
     """Closed form at Theta*t = pi with the oracle-confirmed (1 + cos) denominator."""
     chi, th, w = params.chi, params.theta, params.omega
     Th = params.Theta
     den = np.sqrt(2.0) * (th + chi) * w * (1.0 + np.cos(np.pi * w / Th))
+    if den == 0.0:  # an odd Omega/Theta: the signal at Theta*t = pi vanishes
+        return float("inf")
     return float((w**2 - Th**2) * np.exp(-s) / den)
 
 
@@ -304,10 +285,9 @@ def f_min_at_pi_literal(params: CavitylessParams, s: float) -> float:
 #: Scaled disentangling time Theta*t at which the thermal noise cancels.
 T_STAR = np.pi
 
-# aliases: the original names keep their callers.  An alias is bound at
+# an alias: the original name keeps its callers.  An alias is bound at
 # import, so a patch set later on the original name does not reach it.
 readout_observable = z_i_observable
-f_min_at_t_star = f_min_at_pi
 
 
 def params_from_ratios(ratios: dict) -> CavitylessParams:

@@ -6,10 +6,13 @@ config file (key=value lines, # comments) > documented default.  Outputs are
 per unit force (f = 1), CSV (default) or JSON, written atomically
 (temp file + rename); CSV floats carry 17 significant digits and JSON floats
 are the shortest round-trip ``repr``, so parsing reproduces them bit-exactly;
-non-finite values appear as lowercase "inf"/"nan", strings in JSON.  Exit
-codes: 0 success, 1 validation failure, 2 invalid input or a result outside
+non-finite values appear as lowercase "inf"/"nan", strings in JSON.  Every
+f_min the CLI writes (a sweep or fig2 row, the sql value, a power-scaling row)
+is a sweep row: computed by the scheme's readout, checked by the same finiteness
+test and RK4-spot-checked.  Exit codes: 0 success, 1 validation failure (an
+unhealthy ledger or a failed spot-check), 2 invalid input or a result outside
 its domain (overflow, negative variance, a time grid too large for memory or
-too long for the RK4 oracle's step budget).
+spot-checks too long for the RK4 oracle's step budget).
 """
 
 from __future__ import annotations

@@ -52,7 +52,8 @@ def test_run_sweep_basic():
     p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
     t20 = curve.t_scaled[20] / p.Theta
     assert_allclose(curve.signal_per_f[20], cl.signal(p, t20), rtol=1e-14)
-    assert_allclose(curve.f_min[20], cl.f_min(p, t20, 0.0, 0.0), rtol=1e-12)
+    f_min_20 = np.sqrt(cl.noise(p, t20, 0.0, 0.0)) / abs(cl.signal(p, t20))
+    assert_allclose(curve.f_min[20], f_min_20, rtol=1e-12)
     assert curve.metadata["version"]
 
 
@@ -100,10 +101,10 @@ def test_spot_check_fails_on_nan():
     p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
     t = np.array([1.0 / p.Theta])
     sig, noise = cl.readout(p, t[0], 0.0, 0.0)
-    analysis._spot_check("cavityless", p, t, 0.0, 0.0, [sig], [noise])
+    analysis._spot_check("cavityless", [p], t, 0.0, 0.0, [sig], [noise])
     for bad in ([np.nan], [noise]), ([sig], [np.nan]):
         with pytest.raises(RuntimeError, match="deviation=nan"):
-            analysis._spot_check("cavityless", p, t, 0.0, 0.0, *bad)
+            analysis._spot_check("cavityless", [p], t, 0.0, 0.0, *bad)
 
 
 @pytest.mark.filterwarnings("error")
@@ -150,6 +151,33 @@ def test_power_scaling_validation():
         analysis.PowerScalingSpec("cavity", (1.0, -2.0))
     with pytest.raises(ValueError):
         analysis.PowerScalingSpec("ring", (1.0,))
+    with pytest.raises(ValueError, match="at least one multiplier"):
+        analysis.PowerScalingSpec("cavity", ())
+    # NaN compares False with 0 too: the spec, not the params, names it
+    for model in analysis.SCHEMES:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="power multipliers must be positive and finite"):
+                analysis.PowerScalingSpec(model, (1.0, bad))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    model=st.sampled_from(sorted(analysis.SCHEMES)),
+    theta_over_chi=st.floats(1.01, 2.0),
+    omega_over_theta=st.floats(3.2, 100.0),
+    g_alpha_over_omega=st.floats(0.01, 2.0),
+    s=st.just(0.0) | st.floats(-3.0, 3.0),
+)
+def test_power_scaling_at_unit_power_is_the_sweep_row(
+    model, theta_over_chi, omega_over_theta, g_alpha_over_omega, s
+):
+    # one path: the m = 1 row of power-scaling is the last row of a two-point
+    # sweep to the disentangling time, bit for bit; at s = 0 that is sql's f_min
+    params = dict(theta_over_chi=theta_over_chi, omega_over_theta=omega_over_theta,
+                  g_alpha_over_omega=g_alpha_over_omega)
+    table = analysis.power_scaling(analysis.PowerScalingSpec(model, (1.0,), params, s))
+    row = analysis.SweepSpec(model, 0.0, analysis.SCHEMES[model].T_STAR, 2, s, 0.0, params)
+    assert table["f_min"][0] == analysis.run_sweep(row).f_min[-1]
 
 
 def test_signal_dominant_frequencies():
@@ -163,6 +191,19 @@ def test_signal_dominant_frequencies():
     freqs_cv = analysis.signal_dominant_frequencies("cavity", params)
     assert len(freqs_cv) == 1
     assert abs(freqs_cv[0] - 1.0) < 0.01
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega_over_theta", [7.0, 9.0])
+def test_validation_ledger_at_an_odd_omega_over_theta(omega_over_theta):
+    # the signal at Theta t = pi and the adopted (1 + cos) denominator both
+    # vanish: engine and closed form are both inf, and they agree
+    report = analysis.validation_ledger({"omega_over_theta": omega_over_theta})
+    assert report["healthy"]
+    by_name = {e["formula"]: e for e in report["entries"]}
+    entry = by_name["cavityless f_min at Theta t = pi (cosine sign)"]
+    assert entry["engine_vs_adopted_max_deviation"] == 0.0
+    assert entry["engine_vs_literal_max_deviation"] == np.inf
 
 
 def test_validation_ledger():

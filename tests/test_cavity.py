@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from optoforce import analysis
 from optoforce import cavity as cv
 from optoforce import gaussian as g
 from optoforce import oracle
@@ -140,7 +141,8 @@ def test_minimize_is_lower_envelope():
 
 
 def test_f_min():
-    assert cv.f_min(Q, 0.0, cv.MeterSqueezing(), 0.0) == np.inf
+    # the f_min of a sweep row is inf where the signal vanishes (t = 0)
+    assert analysis.run_sweep(analysis.SweepSpec("cavity", 0.0, 1.0, 2)).f_min[0] == np.inf
     # frozen sensitivity at the decorrelation time
     assert_allclose(cv.f_min_2pi(Q, 0.0), 0.28209676949637014, rtol=1e-13)
     assert_allclose(cv.f_min_2pi(Q, 1.0), 0.10377760191859384, rtol=1e-13)
@@ -156,5 +158,5 @@ def test_f_min():
 def test_f_min_consistent_with_noise_at_2pi():
     t = 2 * np.pi / Q.omega
     phi, _ = cv.minimize_noise_over_phi(Q, t, 1.0, 0.0)
-    direct = cv.f_min(Q, t, cv.MeterSqueezing(1.0, phi), 0.0)
+    direct = np.sqrt(cv.noise(Q, t, cv.MeterSqueezing(1.0, phi), 0.0)) / abs(cv.signal(Q, t))
     assert_allclose(direct, cv.f_min_2pi(Q, 1.0), rtol=1e-10)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from optoforce import analysis
 from optoforce import cavityless as cl
 from optoforce import gaussian as g
 from optoforce import oracle
@@ -161,37 +162,39 @@ def test_thermal_cancellation_at_pi():
 
 
 def test_snr_and_f_min_consistency():
-    t = 1.7 / P.Theta
+    # the f_min of a sweep row, and inf where the signal vanishes (t = 0)
     s, n_th = 0.4, 3.0
+    curve = analysis.run_sweep(analysis.SweepSpec("cavityless", 0.0, 1.7, 2, s, n_th))
+    t = 1.7 / P.Theta
     snr = abs(cl.signal(P, t)) / np.sqrt(cl.noise(P, t, s, n_th))
-    assert_allclose(snr * cl.f_min(P, t, s, n_th), P.force, rtol=1e-12)
-    assert cl.f_min(P, 0.0, s, n_th) == np.inf
+    assert_allclose(snr * curve.f_min[-1], P.force, rtol=1e-12)
+    assert curve.f_min[0] == np.inf
+
+
+def f_min_at_pi(s):
+    """sqrt(N)/|S| at the disentangling time Theta t = pi, with n_th = 0."""
+    t = np.pi / P.Theta
+    return np.sqrt(cl.noise(P, t, s, 0.0)) / abs(cl.signal(P, t))
 
 
 def test_f_min_at_pi_values():
     # frozen engine values at the default parameters
-    assert_allclose(cl.f_min_at_pi(P, 0.0), 0.5048645724184414, rtol=1e-13)
-    assert_allclose(cl.f_min_at_pi(P, 1.0), 0.18572929676855568, rtol=1e-13)
+    assert_allclose(f_min_at_pi(0.0), 0.5048645724184414, rtol=1e-13)
+    assert_allclose(f_min_at_pi(1.0), 0.18572929676855568, rtol=1e-13)
     # [DERIVED] RK4 oracle value at s = 0: 0.5048645800773479
-    assert abs(cl.f_min_at_pi(P, 0.0) - 0.5048645800773479) < 1e-7
+    assert abs(f_min_at_pi(0.0) - 0.5048645800773479) < 1e-7
     # closed form with the (1 + cos) denominator
     assert_allclose(cl.f_min_at_pi_closed(P, 0.0), 0.5048645724183283, rtol=1e-13)
-    assert abs(cl.f_min_at_pi(P, 0.0) - cl.f_min_at_pi_closed(P, 0.0)) < 1e-10
+    assert abs(f_min_at_pi(0.0) - cl.f_min_at_pi_closed(P, 0.0)) < 1e-10
     # the (1 - cos) variant does not match the engine here
-    assert abs(cl.f_min_at_pi_literal(P, 0.0) - cl.f_min_at_pi(P, 0.0)) > 0.01
+    assert abs(cl.f_min_at_pi_literal(P, 0.0) - f_min_at_pi(0.0)) > 0.01
 
 
 def test_f_min_at_pi_squeezing_gain():
-    ratios = [cl.f_min_at_pi(P, s) / cl.f_min_at_pi(P, 0.0) for s in (1.0, 5.0)]
+    ratios = [f_min_at_pi(s) / f_min_at_pi(0.0) for s in (1.0, 5.0)]
     # absolute tolerance: the s = 5 noise at Theta t = pi is itself a
     # ~e^{-10} residual of cancelling e^{+10} covariance entries
     assert_allclose(ratios, [np.exp(-1.0), np.exp(-5.0)], atol=1e-9, rtol=0)
-
-
-def test_f_min_at_pi_integer_ratio_warns():
-    with pytest.warns(UserWarning, match="integer"):
-        p = cl.CavitylessParams.from_ratios(1.025, 10.0)
-        cl.f_min_at_pi(p, 0.0)
 
 
 def test_z_observables():

@@ -215,7 +215,7 @@ WRITES_NOTHING = [
     (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
     (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
     (["power-scaling", "--s", "400"], "cov: "),
-    (["power-scaling", "--model", "cavity", "--s", "400"], "f_min: "),
+    (["power-scaling", "--model", "cavity", "--s", "400"], "noise: not finite"),
     (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
 ]
 
@@ -271,6 +271,9 @@ OVER_BUDGET = [
     ["validate", "--theta-over-chi", "1.000000000001"],
     # the cavity track is over budget: it stops before the cavityless one runs
     ["validate", "--g-alpha-over-omega", "1e4"],
+    # a power-scaling table is one certificate: 41 checks of at most 2.5e6
+    # steps each, 2.3e7 together
+    ["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "200"],
 ]
 
 
@@ -295,6 +298,17 @@ def test_sql_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch, 
     # check of the sql value must abort the run before anything is written
     monkeypatch.setattr(cli.analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
     code, _, err = run_cli(["sql", "--model", model], tmp_path, monkeypatch, capsys)
+    assert code == 1 and "error: oracle spot-check failed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("model", ["cavityless", "cavity"])
+def test_power_scaling_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch,
+                                                            capsys):
+    # the same sabotage: every row of the table is spot-checked, as sql is
+    monkeypatch.setattr(cli.analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
+    code, _, err = run_cli(["power-scaling", "--model", model], tmp_path, monkeypatch,
+                           capsys)
     assert code == 1 and "error: oracle spot-check failed" in err
     assert list(tmp_path.iterdir()) == []
 
@@ -590,6 +604,24 @@ def test_validate_command(tmp_path, monkeypatch, capsys):
     doc = json.loads((tmp_path / "validation_ledger.json").read_text())
     assert doc["healthy"]
     assert len(doc["entries"]) == 6
+
+
+ODD_OMEGA_OVER_THETA = [
+    ["--omega-over-theta", "7"],
+    ["--omega-over-theta", "9"],
+    ["--theta-over-chi", "1.15", "--omega-over-theta", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", ODD_OMEGA_OVER_THETA,
+                         ids=[" ".join(a) for a in ODD_OMEGA_OVER_THETA])
+def test_validate_is_healthy_at_an_odd_omega_over_theta(argv, tmp_path, monkeypatch, capsys):
+    # the signal at Theta t = pi vanishes: engine and closed form agree on inf
+    code, out, err = run_cli(["validate", *argv], tmp_path, monkeypatch, capsys)
+    assert code == 0 and "validate: healthy" in out
+    assert err == ""
+    doc = json.loads((tmp_path / "validation_ledger.json").read_text())
+    assert doc["healthy"] and all(e["pass"] for e in doc["entries"])
 
 
 @pytest.mark.parametrize("omega_over_theta", ["100", "200"])
