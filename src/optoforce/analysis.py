@@ -36,11 +36,12 @@ DEFAULT_PARAMS = {
 
 #: The two measurement schemes.  Each module supplies the same names:
 #: params_from_ratios, time_unit, T_STAR (the scaled disentangling time),
-#: signal, readout, meter_state, readout_observable, generator, power_scaled
-#: and in_regime.  Callers look them up on the
-#: module at call time, so that a wrapper or patch set on the module later is
-#: seen.  The oracle side of a spot-check takes only generator, meter_state and
-#: readout_observable from a scheme, never its closed forms.
+#: signal, readout, meter_state, readout_observable, generator,
+#: closed_propagator (for the ledger), power_scaled and in_regime.  Callers
+#: look them up on the module at call time, so that a wrapper or patch set on
+#: the module later is seen.  The oracle side of a spot-check takes only
+#: generator, meter_state and readout_observable from a scheme, never its
+#: closed forms.
 SCHEMES = {"cavityless": cavityless, "cavity": cavity}
 
 
@@ -135,10 +136,12 @@ def _check_step_budget(n_steps: int, check: str, model: str, p, t_final: float) 
         )
 
 
-def _spot_check(model: str, params, times, s: float, n_th: float, signal_per_f, noise) -> None:
+def _spot_check(model: str, params, times, s: float, n_th: float, signal_per_f, noise,
+                row: tuple[str, np.ndarray]) -> None:
     """The RK4 oracle's moments at a few times, each with its own params,
-    against the values computed there; aborts on disagreement, and before any
-    RK4 step if the checks together would exceed RK4_STEP_BUDGET."""
+    against the values computed there; aborts on disagreement, naming the row
+    by row = (column, the column's value at each check), and before any RK4
+    step if the checks together would exceed RK4_STEP_BUDGET."""
     scheme = SCHEMES[model]
     obs = scheme.readout_observable().coeffs
     gens = [lambda t, p=p: scheme.generator(p, t) for p in params]
@@ -146,8 +149,8 @@ def _spot_check(model: str, params, times, s: float, n_th: float, signal_per_f, 
     # the error names the longest check (of equal ones, the latest)
     i = max(range(len(steps)), key=lambda k: (steps[k], times[k]))
     _check_step_budget(sum(steps), "the spot-checks", model, params[i], times[i])
-    for p, gen, t, n_steps, sig_cf, noise_cf in zip(params, gens, times, steps,
-                                                     signal_per_f, noise):
+    for p, gen, t, key, n_steps, sig_cf, noise_cf in zip(params, gens, times, row[1], steps,
+                                                          signal_per_f, noise):
         m0 = scheme.meter_state(p, t, s, n_th)
         spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
         mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
@@ -161,15 +164,15 @@ def _spot_check(model: str, params, times, s: float, n_th: float, signal_per_f, 
         dev = _max([abs(sig_rk - sig_cf), abs(noise_rk - noise_cf) / noise_scale])
         if not dev <= SPOT_CHECK_TOL:
             raise RuntimeError(
-                f"oracle spot-check failed: model={model} t={t:.6g} s={s} "
+                f"oracle spot-check failed: model={model} {row[0]}={key:.6g} s={s} "
                 f"n_th={n_th} deviation={dev:.3g} > {SPOT_CHECK_TOL}"
             )
 
 
-def _f_min(model: str, t_scaled, sig, noi, s: float, n_th: float):
-    """(f_min, snr) per unit f from the closed-form signal/f and noise at the
-    scaled times; raises ValueError naming the first value that is not finite
-    or is a negative variance."""
+def _f_min(model: str, row: tuple[str, np.ndarray], sig, noi, s: float, n_th: float):
+    """(f_min, snr) per unit f from the closed-form signal/f and noise of the
+    rows; raises ValueError naming the first value that is not finite or is a
+    negative variance, and its row by row = (column, the column's values)."""
     overflow = "the inputs overflow the closed forms"
     for name, bad, what, why in (
         ("signal_per_f", ~np.isfinite(sig), "not finite", overflow),
@@ -179,7 +182,7 @@ def _f_min(model: str, t_scaled, sig, noi, s: float, n_th: float):
         bad = np.flatnonzero(bad)
         if bad.size:
             raise ValueError(
-                f"{name}: {what} at t_scaled={t_scaled[bad[0]]:.6g} "
+                f"{name}: {what} at {row[0]}={row[1][bad[0]]:.6g} "
                 f"(model={model} s={s} n_th={n_th}); {why}"
             )
     with np.errstate(divide="ignore"):
@@ -204,14 +207,15 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
     with np.errstate(all="ignore"):
         for i, t in enumerate(times.tolist()):
             sig[i], noi[i] = scheme.readout(p, t, s, n_th)
-    fmin, snr = _f_min(spec.model, t_scaled, sig, noi, s, n_th)
+    fmin, snr = _f_min(spec.model, ("t_scaled", t_scaled), sig, noi, s, n_th)
     rng = np.random.default_rng(zlib.crc32(f"{spec.model}/{s}/{n_th}".encode()))
     idx = np.sort(rng.choice(
         np.arange(1, spec.n_points),
         size=min(SPOT_CHECKS_PER_CURVE, spec.n_points - 1),
         replace=False,
     ))
-    _spot_check(spec.model, [p] * idx.size, times[idx], s, n_th, sig[idx], noi[idx])
+    _spot_check(spec.model, [p] * idx.size, times[idx], s, n_th, sig[idx], noi[idx],
+                ("t", times[idx]))
     return SensitivityCurve(
         spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin
     )
@@ -269,8 +273,9 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     with np.errstate(all="ignore"):  # as in run_sweep: _f_min names the value
         sig, noi = np.array([scheme.readout(p, t, spec.s, 0.0)
                              for p, t in zip(params, times)]).T
-    fmin, _ = _f_min(spec.model, np.full_like(mult, scheme.T_STAR), sig, noi, spec.s, 0.0)
-    _spot_check(spec.model, params, times, spec.s, 0.0, sig, noi)
+    row = ("power_multiplier", mult)
+    fmin, _ = _f_min(spec.model, row, sig, noi, spec.s, 0.0)
+    _spot_check(spec.model, params, times, spec.s, 0.0, sig, noi, row)
 
     def slope(idx) -> float:
         x, y = np.log(mult[idx]), np.log(fmin[idx])
@@ -346,6 +351,12 @@ def _plan_track(model: str, p, t_grid):
     return lambda: oracle.integrate_propagator_track(dim, gen, t_grid, n_sub)
 
 
+def _track_deviation(model: str, p, t_grid, track) -> float:
+    """Largest |RK4 - closed| entry of the pairs (M, d) at the times of the track."""
+    return _max([np.max(np.abs(rk - cf)) for t, *pair in zip(t_grid, *track)
+                 for rk, cf in zip(pair, SCHEMES[model].closed_propagator(p, t))])
+
+
 def validation_ledger(params: dict | None = None) -> dict:
     """Compare every transcribed closed form against the numerical oracles.
 
@@ -367,18 +378,16 @@ def validation_ledger(params: dict | None = None) -> dict:
     entries = []
 
     # --- propagator force terms: trig form vs the published hyperbolic term;
-    # at f = 1 the displacements are per unit force, as the sweep columns
+    # the displacements are per unit force, as the sweep columns
     mats, disps = run_track()
-    devs_ad, devs_lit = [], []
-    for t, m_rk, d_rk in zip(t_grid, mats, disps):
-        prop = cavityless.closed_propagator(p, t)
-        devs_ad += [np.max(np.abs(m_rk - prop.mat)),
-                    np.max(np.abs(d_rk - prop.disp))]
-        # literal X1 force term per unit f:
-        # -[Omega sinh(Theta t) - sin(Omega t)] chi Omega / (Omega^2 - Theta^2)
-        lit_x1 = -(w * np.sinh(Th * t) - np.sin(w * t)) * p.chi * w / (w**2 - Th**2)
-        devs_lit.append(abs(lit_x1 - d_rk[0]))
-    dev_ad, dev_lit = _max(devs_ad), _max(devs_lit)
+    dev_ad = _track_deviation("cavityless", p, t_grid, (mats, disps))
+    # literal X1 force term per unit f, -[Omega sinh(Theta t) - sin(Omega t)]
+    # chi Omega / (Omega^2 - Theta^2): a scalar expression per time, as numpy's
+    # array transcendentals can differ from the scalar ones in the last bit
+    dev_lit = _max([
+        abs(-(w * np.sinh(Th * t) - np.sin(w * t)) * p.chi * w / (w**2 - Th**2) - d_rk[0])
+        for t, d_rk in zip(t_grid, disps)
+    ])
     entries.append(_ledger_entry(
         "cavityless force response (sinh term)",
         "force displacement of the Stokes amplitude quadrature",
@@ -417,11 +426,11 @@ def validation_ledger(params: dict | None = None) -> dict:
     # value is a sweep row's, _f_min of readout.  At an odd Omega/Theta the
     # signal and the adopted denominator both vanish: two infs agree.
     s_vals = (0.0, 1.0, 5.0)
-    t_pi = np.array([cavityless.T_STAR])
+    row = ("t_scaled", np.array([cavityless.T_STAR]))
     dev_ad, dev_lit = [], []
     for s in s_vals:
         sig, noi = cavityless.readout(p, cavityless.T_STAR / Th, s, 0.0)
-        (engine,), _ = _f_min("cavityless", t_pi, np.array([sig]), np.array([noi]), s, 0.0)
+        (engine,), _ = _f_min("cavityless", row, np.array([sig]), np.array([noi]), s, 0.0)
         dev_ad.append(_deviation(engine, cavityless.f_min_at_pi_closed(p, s)))
         dev_lit.append(_deviation(engine, cavityless.f_min_at_pi_literal(p, s)))
     dev_ad, dev_lit = _max(dev_ad), _max(dev_lit)
@@ -480,13 +489,7 @@ def validation_ledger(params: dict | None = None) -> dict:
     ))
 
     # --- cavity propagator vs RK4
-    mats, disps = run_track_cav()
-    devs_cav = []
-    for t, m_rk, d_rk in zip(t_grid_cav, mats, disps):
-        prop = cavity.closed_propagator(q, t)
-        devs_cav += [np.max(np.abs(m_rk - prop.mat)),
-                     np.max(np.abs(d_rk - prop.disp))]
-    dev_cav = _max(devs_cav)
+    dev_cav = _track_deviation("cavity", q, t_grid_cav, run_track_cav())
     entries.append(_ledger_entry(
         "cavity propagator",
         "closed-form cavity propagator vs RK4 of the Heisenberg equations",

@@ -2,8 +2,10 @@
 
 A resonant (Delta = 0) cavity mode a couples to the mirror b through
 radiation pressure with strength g*alpha (alpha real); the same classical
-force f drives the mirror.  Only the phase quadrature Y of the cavity field
-carries force information; it is read out by homodyne detection.
+force drives the mirror.  Only the phase quadrature Y of the cavity field
+carries force information; it is read out by homodyne detection.  As in the
+cavityless scheme, every output is per unit force (f = 1), the params carry
+no force, and closed_propagator returns the oracle's pair (M(t), d(t)).
 
 Mode order is (a, b); quadrature order (Xa, Ya, Xb, Yb).  The amplitude
 quadrature Xa is a constant of motion.  Thermal mirror noise drops out of
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    AffinePropagator,
     GaussianState,
     LinearObservable,
     single_mode_squeezed,
@@ -35,11 +36,14 @@ PHI_SCAN_POINTS = 10_000
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Effective coupling g*alpha, mirror frequency and force strength."""
+    """Effective coupling g*alpha and mirror frequency."""
 
     g_alpha: float
     omega: float
-    force: float = 1.0
+
+    #: every output is per unit force: f = 1 is a read-only class constant,
+    #: not a field, kept for callers that divide by it
+    force = 1.0
 
     def __post_init__(self):
         if self.omega <= 0:
@@ -54,7 +58,7 @@ class CavityParams:
 
     @classmethod
     def from_ratios(cls, g_alpha_over_omega: float) -> "CavityParams":
-        """Build from g*alpha/Omega with Omega = OMEGA and f = 1."""
+        """Build from g*alpha/Omega with Omega = OMEGA."""
         return cls(g_alpha=g_alpha_over_omega * OMEGA, omega=OMEGA)
 
 
@@ -84,9 +88,9 @@ def drift_matrix(params: CavityParams) -> np.ndarray:
 
 
 def drive_vector(params: CavityParams, t) -> np.ndarray:
-    """Constant force drive Omega*f in the Yb slot, shape t.shape + (4,)."""
+    """Constant force drive Omega (per unit f) in the Yb slot, shape t.shape + (4,)."""
     c = np.zeros(np.shape(t) + (4,))
-    c[..., 3] = params.omega * params.force
+    c[..., 3] = params.omega
     return c
 
 
@@ -96,15 +100,15 @@ def generator(params: CavityParams, t) -> tuple[np.ndarray, np.ndarray]:
     return drift_matrix(params), drive_vector(params, t)
 
 
-def closed_propagator(params: CavityParams, t: float) -> AffinePropagator:
-    """Exact propagator: driven mirror rotation plus secular growth of Ya.
+def closed_propagator(params: CavityParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (M(t), d(t)): driven mirror rotation plus secular growth of Ya.
 
     The Ya row carries (2ga/Omega)^2 [Omega t - sin(Omega t)] on Xa(0) and
-    the mirror quadratures at weight 2ga/Omega; the force displacement in
-    Ya is -(2ga/Omega)[Omega t - sin(Omega t)] f (readout sign is fixed by
-    the observable, see readout_observable).
+    the mirror quadratures at weight 2ga/Omega; the force displacement in Ya
+    is -(2ga/Omega)[Omega t - sin(Omega t)] per unit f (readout sign is fixed
+    by the observable, see readout_observable).
     """
-    r, w, f = params.r, params.omega, params.force
+    r, w = params.r, params.omega
     wt = w * t
     s, c = np.sin(wt), np.cos(wt)
     sec = wt - s  # secular factor Omega t - sin(Omega t)
@@ -116,8 +120,8 @@ def closed_propagator(params: CavityParams, t: float) -> AffinePropagator:
             [-r * s, 0.0, -s, c],
         ]
     )
-    d = np.array([0.0, -r * sec * f, (1.0 - c) * f, s * f])
-    return AffinePropagator(mat, d)
+    d = np.array([0.0, -r * sec, 1.0 - c, s])
+    return mat, d
 
 
 def readout_observable() -> LinearObservable:
@@ -140,15 +144,15 @@ def initial_state(meter: MeterSqueezing, n_th: float) -> GaussianState:
 
 
 def signal(params: CavityParams, t: float) -> float:
-    """Mean readout (2ga/Omega)[Omega t - sin(Omega t)] f; nondecreasing in t."""
+    """Mean readout per unit f, (2ga/Omega)[Omega t - sin(Omega t)]; nondecreasing in t."""
     wt = params.omega * t
-    return params.r * (wt - np.sin(wt)) * params.force
+    return params.r * (wt - np.sin(wt))
 
 
 def noise(params: CavityParams, t: float, meter: MeterSqueezing, n_th: float) -> float:
     """Var(Y)(t) from covariance propagation of the initial state."""
-    prop = closed_propagator(params, t)
-    zt = prop.mat.T @ _READOUT
+    mat, _ = closed_propagator(params, t)
+    zt = mat.T @ _READOUT
     v0 = initial_state(meter, n_th).cov
     return float(zt @ v0 @ zt)
 
@@ -228,7 +232,7 @@ def scan_noise_over_phi(
     # imported on use: of the CLI commands only validate scans
     from scipy.optimize import minimize_scalar
 
-    u = closed_propagator(params, t).mat.T @ _READOUT
+    u = closed_propagator(params, t)[0].T @ _READOUT
     v0 = initial_state(MeterSqueezing(s, 0.0), n_th).cov
 
     def cost(phi):
@@ -276,7 +280,7 @@ T_STAR = 2.0 * np.pi
 
 
 def params_from_ratios(ratios: dict) -> CavityParams:
-    """Params from the ratio dict of analysis.DEFAULT_PARAMS (Omega = 1, f = 1)."""
+    """Params from the ratio dict of analysis.DEFAULT_PARAMS (Omega = 1)."""
     return CavityParams.from_ratios(ratios["g_alpha_over_omega"])
 
 
@@ -287,7 +291,7 @@ def time_unit(params: CavityParams) -> float:
 
 def readout(params: CavityParams, t: float, s: float, n_th: float) -> tuple[float, float]:
     """(signal per unit f, Var(Y)) at time t with the squeezing angle optimized there."""
-    return signal(params, t) / params.force, minimize_noise_over_phi(params, t, s, n_th)[1]
+    return signal(params, t), minimize_noise_over_phi(params, t, s, n_th)[1]
 
 
 def meter_state(params: CavityParams, t: float, s: float, n_th: float) -> GaussianState:
@@ -298,7 +302,8 @@ def meter_state(params: CavityParams, t: float, s: float, n_th: float) -> Gaussi
 
 def power_scaled(params: CavityParams, multiplier: float) -> CavityParams:
     """g*alpha -> sqrt(m) g*alpha at fixed mirror frequency."""
-    return CavityParams(params.g_alpha * np.sqrt(multiplier), params.omega, params.force)
+    # a Python float, so that the params repr shows no numpy type
+    return CavityParams(params.g_alpha * float(np.sqrt(multiplier)), params.omega)
 
 
 def in_regime(params: CavityParams) -> bool:

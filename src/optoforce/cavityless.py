@@ -2,8 +2,11 @@
 
 A vibrating mirror (mode b) scatters an intense laser into Stokes (a1) and
 anti-Stokes (a2) sidebands with couplings chi and theta (theta > chi > 0).
-A classical force of dimensionless strength f drives the mirror at its own
-frequency Omega.  The readout is the heterodyne combination Z_I = Y1 + Y2.
+A classical force drives the mirror at its own frequency Omega; it enters
+linearly, so every output is per unit force (f = 1) and the params carry no
+force.  The readout is the heterodyne combination Z_I = Y1 + Y2.
+closed_propagator returns the RK4 oracle's pair (M(t), d(t)), and the params
+refuse Theta = Omega when they are built.
 
 Mode order is (a1, b, a2); quadrature order (X1, Y1, Xb, Yb, X2, Y2).
 Times are most conveniently expressed through the beat frequency
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    AffinePropagator,
     GaussianState,
     LinearObservable,
     reorder_modes,
@@ -49,12 +51,15 @@ class DegenerateResonanceError(ValueError):
 
 @dataclass(frozen=True)
 class CavitylessParams:
-    """Couplings (chi, theta), mirror frequency omega and force strength."""
+    """Couplings (chi, theta) and mirror frequency omega."""
 
     chi: float
     theta: float
     omega: float
-    force: float = 1.0
+
+    #: every output is per unit force: f = 1 is a read-only class constant,
+    #: not a field, kept for callers that divide by it
+    force = 1.0
 
     def __post_init__(self):
         if self.chi <= 0:
@@ -69,6 +74,11 @@ class CavitylessParams:
                 f"omega^2/Theta^2 = {ratio:.3g} < {REGIME_RATIO_MIN}: outside the "
                 "validity regime omega^2 >> Theta^2 of the effective Hamiltonian",
                 stacklevel=2,
+            )
+        if abs(self.Theta - self.omega) < _DEGENERATE_TOL:
+            raise DegenerateResonanceError(
+                "Theta = Omega within tolerance; forced response is degenerate "
+                "(the model assumes Omega^2 >> Theta^2 anyway)"
             )
 
     # the params are immutable: the constants of the closed forms are
@@ -98,7 +108,7 @@ class CavitylessParams:
 
     @classmethod
     def from_ratios(cls, theta_over_chi: float, omega_over_theta: float) -> "CavitylessParams":
-        """Build from the ratio-based parameterization with chi = CHI and f = 1.
+        """Build from the ratio-based parameterization with chi = CHI.
 
         omega_over_theta is Omega/Theta, with Theta = sqrt(theta^2 - chi^2).
         """
@@ -130,9 +140,9 @@ def drive_vector(params: CavitylessParams, t) -> np.ndarray:
     """Force drive c(t), shape t.shape + (6,): the mirror is pushed at its
     own frequency."""
     c = np.zeros(np.shape(t) + (6,))
-    wf = params.omega * params.force
-    c[..., 2] = -wf * np.sin(params.omega * t)
-    c[..., 3] = wf * np.cos(params.omega * t)
+    w = params.omega
+    c[..., 2] = -w * np.sin(w * t)
+    c[..., 3] = w * np.cos(w * t)
     return c
 
 
@@ -140,14 +150,6 @@ def generator(params: CavitylessParams, t) -> tuple[np.ndarray, np.ndarray]:
     """(A, c(t)) with dm/dt = A m + c(t) and dV/dt = A V + V A^T; t a time or
     an array of times (the oracle's Generator)."""
     return drift_matrix(params), drive_vector(params, t)
-
-
-def _check_nondegenerate(params: CavitylessParams) -> None:
-    if abs(params.Theta - params.omega) < _DEGENERATE_TOL:
-        raise DegenerateResonanceError(
-            "Theta = Omega within tolerance; forced response is degenerate "
-            "(the model assumes Omega^2 >> Theta^2 anyway)"
-        )
 
 
 def _homogeneous(params: CavitylessParams, t: float, powers) -> tuple:
@@ -160,17 +162,15 @@ def _homogeneous(params: CavitylessParams, t: float, powers) -> tuple:
     return e + a * (st / Th) + a2 * ((1.0 - ct) / Th**2), st, ct
 
 
-def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
-    """Exact propagator (M(t), d(t)) of the linear dynamics.
+def closed_propagator(params: CavitylessParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact propagator (M(t), d(t)) of the linear dynamics, d per unit force.
 
     The homogeneous part M is _homogeneous on all six rows.
     The force displacement is the exact harmonic-drive response (the
     trigonometric form; the hyperbolic force term quoted for a1 in the
     source solutions fails the dynamics oracle and is not used here).
     """
-    _check_nondegenerate(params)
-    chi, th, w, f = params.chi, params.theta, params.omega, params.force
-    Th = params.Theta
+    chi, th, w, Th = params.chi, params.theta, params.omega, params.Theta
     mat, st, ct = _homogeneous(params, t, params._drift_powers)
 
     sw, cw = np.sin(w * t), np.cos(w * t)
@@ -178,13 +178,13 @@ def closed_propagator(params: CavitylessParams, t: float) -> AffinePropagator:
     # Response integrals of exp(A(t-tau)) against the sin/cos drive in the
     # mirror slot, reduced with the same A^3 = -Theta^2 A identity.
     d = np.zeros(6)
-    d[0] = chi * w * f * (sw - (w / Th) * st) / den  # X1
-    d[1] = chi * w * f * (cw - ct) / den  # Y1
-    d[2] = w**2 * f * (cw - ct) / den  # Xb
-    d[3] = w * f * (w * sw - Th * st) / den  # Yb
-    d[4] = th * w * f * (sw - (w / Th) * st) / den  # X2
-    d[5] = -th * w * f * (cw - ct) / den  # Y2
-    return AffinePropagator(mat, d)
+    d[0] = chi * w * (sw - (w / Th) * st) / den  # X1
+    d[1] = chi * w * (cw - ct) / den  # Y1
+    d[2] = w**2 * (cw - ct) / den  # Xb
+    d[3] = w * (w * sw - Th * st) / den  # Yb
+    d[4] = th * w * (sw - (w / Th) * st) / den  # X2
+    d[5] = -th * w * (cw - ct) / den  # Y2
+    return mat, d
 
 
 def z_i_observable() -> LinearObservable:
@@ -211,21 +211,18 @@ def initial_state(s: float, n_th: float) -> GaussianState:
 
 
 def signal(params: CavitylessParams, t: float) -> float:
-    """Mean of Z_I: (theta-chi)[cos(Theta t) - cos(Omega t)] Omega f/(Omega^2-Theta^2)."""
-    _check_nondegenerate(params)
-    chi, th, w, f = params.chi, params.theta, params.omega, params.force
-    Th = params.Theta
-    return (th - chi) * (np.cos(Th * t) - np.cos(w * t)) * w * f / (w**2 - Th**2)
+    """Mean of Z_I per unit f: (theta-chi)[cos(Theta t) - cos(Omega t)] Omega/(Omega^2-Theta^2)."""
+    chi, th, w, Th = params.chi, params.theta, params.omega, params.Theta
+    return (th - chi) * (np.cos(Th * t) - np.cos(w * t)) * w / (w**2 - Th**2)
 
 
 def noise(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
     """Var(Z_I)(t) from covariance propagation of the initial state.
 
     Z_I = Y1 + Y2 evolves into u = M(t)^T z, the sum of rows 1 and 5 of M(t):
-    the same doubles as M(t).T @ z, without the other four rows, the force
-    displacement or an AffinePropagator.
+    the same doubles as M(t).T @ z, without the other four rows or the force
+    displacement.
     """
-    _check_nondegenerate(params)
     rows, _, _ = _homogeneous(params, t, params._z_i_powers)
     u = rows[0] + rows[1]
     v0 = initial_state(s, n_th).cov
@@ -261,8 +258,7 @@ def noise_literal(params: CavitylessParams, t: float, s: float, n_th: float) -> 
 
 def f_min_at_pi_closed(params: CavitylessParams, s: float) -> float:
     """Closed form at Theta*t = pi with the oracle-confirmed (1 + cos) denominator."""
-    chi, th, w = params.chi, params.theta, params.omega
-    Th = params.Theta
+    chi, th, w, Th = params.chi, params.theta, params.omega, params.Theta
     den = np.sqrt(2.0) * (th + chi) * w * (1.0 + np.cos(np.pi * w / Th))
     if den == 0.0:  # an odd Omega/Theta: the signal at Theta*t = pi vanishes
         return float("inf")
@@ -271,8 +267,7 @@ def f_min_at_pi_closed(params: CavitylessParams, s: float) -> float:
 
 def f_min_at_pi_literal(params: CavitylessParams, s: float) -> float:
     """Published closed form with its (1 - cos) denominator, kept as a diagnostic."""
-    chi, th, w = params.chi, params.theta, params.omega
-    Th = params.Theta
+    chi, th, w, Th = params.chi, params.theta, params.omega, params.Theta
     den = np.sqrt(2.0) * (th + chi) * w * (1.0 - np.cos(np.pi * w / Th))
     if den == 0.0:
         return float("inf")
@@ -291,7 +286,7 @@ readout_observable = z_i_observable
 
 
 def params_from_ratios(ratios: dict) -> CavitylessParams:
-    """Params from the ratio dict of analysis.DEFAULT_PARAMS (chi = 1, f = 1)."""
+    """Params from the ratio dict of analysis.DEFAULT_PARAMS (chi = 1)."""
     return CavitylessParams.from_ratios(ratios["theta_over_chi"], ratios["omega_over_theta"])
 
 
@@ -302,7 +297,7 @@ def time_unit(params: CavitylessParams) -> float:
 
 def readout(params: CavitylessParams, t: float, s: float, n_th: float) -> tuple[float, float]:
     """(signal per unit f, Var(Z_I)) at time t: the sweep's fast path."""
-    return signal(params, t) / params.force, noise(params, t, s, n_th)
+    return signal(params, t), noise(params, t, s, n_th)
 
 
 def meter_state(params: CavitylessParams, t: float, s: float, n_th: float) -> GaussianState:
@@ -312,8 +307,8 @@ def meter_state(params: CavitylessParams, t: float, s: float, n_th: float) -> Ga
 
 def power_scaled(params: CavitylessParams, multiplier: float) -> CavitylessParams:
     """chi, theta -> sqrt(m) (chi, theta) at fixed theta/chi and mirror frequency."""
-    scale = np.sqrt(multiplier)
-    return CavitylessParams(params.chi * scale, params.theta * scale, params.omega, params.force)
+    scale = float(np.sqrt(multiplier))  # a Python float: the params repr shows no numpy type
+    return CavitylessParams(params.chi * scale, params.theta * scale, params.omega)
 
 
 def in_regime(params: CavitylessParams) -> bool:

@@ -3,7 +3,10 @@
 Convention: for each mode j the quadratures are X_j = (a_j + a_j^dag)/2 and
 Y_j = -i(a_j - a_j^dag)/2, ordered as (X_1, Y_1, X_2, Y_2, ...).  With this
 normalization [X_j, Y_k] = i delta_jk / 2 and the vacuum variance is 1/4 per
-quadrature.  All constructors return immutable states; all operations are pure.
+quadrature.  A state's mode count is half the length of its mean.  An affine
+propagator x -> M x + d is the plain pair (M, d), as the closed forms and the
+RK4 oracle return it.  All constructors return immutable states; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -31,23 +34,20 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean quadrature vector and covariance matrix of an n-mode Gaussian state."""
+    """Mean quadrature vector and covariance matrix of a Gaussian state."""
 
-    n_modes: int
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         # this runs for every state, four times per cavityless grid point
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.cov, dtype=float)
         mean.setflags(write=False)  # cheaper than assigning a.flags.writeable
         cov.setflags(write=False)
-        d = 2 * self.n_modes
-        if mean.shape != (d,):
-            raise ValueError(f"mean must have length {d}, got {mean.shape}")
+        if mean.ndim != 1 or mean.size < 2 or mean.size % 2:
+            raise ValueError(f"mean must have an even length >= 2, got shape {mean.shape}")
+        d = mean.size
         if cov.shape != (d, d):
             raise ValueError(f"cov must be {d}x{d}, got {cov.shape}")
         # abs(cov - cov.T).max(): numpy subtracts a contiguous copy of the
@@ -58,6 +58,10 @@ class GaussianState:
                 raise ValueError("cov: not finite; the inputs overflow")
             raise ValueError("cov must be symmetric to within 1e-12")
         self.__dict__.update(mean=mean, cov=cov)  # the fields of a frozen instance
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.mean) // 2
 
     def uncertainty_defect(self) -> float:
         """Smallest eigenvalue of cov + (i/2)*Sigma; physical states give >= -1e-10."""
@@ -73,35 +77,6 @@ class GaussianState:
         omega = 2.0 * symplectic_form(self.n_modes)
         ev = np.sort(np.abs(np.linalg.eigvals(1j * omega @ self.cov)))
         return ev[::2]  # eigenvalues come in +- pairs; keep one of each
-
-
-@dataclass(frozen=True)
-class AffinePropagator:
-    """Linear map x -> mat @ x + disp on quadrature space."""
-
-    mat: np.ndarray
-    disp: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.mat, dtype=float)
-        disp = np.array(self.disp, dtype=float)
-        mat.setflags(write=False)
-        disp.setflags(write=False)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("mat must be square")
-        if disp.shape != (mat.shape[0],):
-            raise ValueError("disp length must match mat")
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "disp", disp)
-
-    @property
-    def n_modes(self) -> int:
-        return self.mat.shape[0] // 2
-
-    def symplectic_defect(self) -> float:
-        """max |M Sigma M^T - Sigma|; Hamiltonian dynamics keeps this ~ 0."""
-        sigma = symplectic_form(self.n_modes)
-        return float(np.max(np.abs(self.mat @ sigma @ self.mat.T - sigma)))
 
 
 @dataclass(frozen=True)
@@ -123,7 +98,7 @@ def vacuum_state(n_modes: int) -> GaussianState:
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     d = 2 * n_modes
-    return GaussianState(n_modes, np.zeros(d), 0.25 * np.eye(d))
+    return GaussianState(np.zeros(d), 0.25 * np.eye(d))
 
 
 def thermal_state(n_bar: float) -> GaussianState:
@@ -132,7 +107,7 @@ def thermal_state(n_bar: float) -> GaussianState:
         raise ValueError("n_bar must be nonnegative")
     cov = np.zeros((2, 2))  # cheaper than np.array of nested lists
     cov[0, 0] = cov[1, 1] = (2.0 * n_bar + 1.0) / 4.0
-    return GaussianState(1, np.zeros(2), cov)
+    return GaussianState(np.zeros(2), cov)
 
 
 def two_mode_squeezed(s: float) -> GaussianState:
@@ -150,7 +125,7 @@ def two_mode_squeezed(s: float) -> GaussianState:
     cov[0, 2] = cov[2, 0] = sh
     cov[1, 1] = cov[3, 3] = ch
     cov[1, 3] = cov[3, 1] = -sh
-    return GaussianState(2, np.zeros(4), cov)
+    return GaussianState(np.zeros(4), cov)
 
 
 def single_mode_squeezed(s: float, phi: float) -> GaussianState:
@@ -168,7 +143,7 @@ def single_mode_squeezed(s: float, phi: float) -> GaussianState:
             [-sh * s2, ch + sh * c2],
         ]
     )
-    return GaussianState(1, np.zeros(2), cov)
+    return GaussianState(np.zeros(2), cov)
 
 
 def tensor(states: list[GaussianState]) -> GaussianState:
@@ -183,7 +158,7 @@ def tensor(states: list[GaussianState]) -> GaussianState:
         end = off + len(st.mean)
         cov[off:end, off:end] = st.cov
         off = end
-    return GaussianState(d // 2, mean, cov)
+    return GaussianState(mean, cov)
 
 
 @functools.lru_cache(maxsize=64)
@@ -203,7 +178,7 @@ def _quadrature_index(n_modes: int, order: tuple) -> tuple[np.ndarray, np.ndarra
 def reorder_modes(state: GaussianState, order: list[int]) -> GaussianState:
     """Permute modes so that new mode i is old mode order[i]."""
     idx, flat = _quadrature_index(state.n_modes, tuple(order))
-    return GaussianState(state.n_modes, state.mean.take(idx), state.cov.take(flat))
+    return GaussianState(state.mean.take(idx), state.cov.take(flat))
 
 
 def expectation(obs: LinearObservable, state: GaussianState) -> float:
@@ -218,11 +193,13 @@ def variance(obs: LinearObservable, state: GaussianState) -> float:
     return float(obs.coeffs @ state.cov @ obs.coeffs)
 
 
-def apply(prop: AffinePropagator, state: GaussianState) -> GaussianState:
-    """Propagate moments: mean -> M mean + d, cov -> M cov M^T."""
-    if prop.mat.shape[0] != 2 * state.n_modes:
+def apply(prop: tuple[np.ndarray, np.ndarray], state: GaussianState) -> GaussianState:
+    """Propagate moments by prop = (M, d), the map x -> M x + d that the closed
+    forms and the RK4 oracle return: mean -> M mean + d, cov -> M cov M^T."""
+    mat, disp = prop
+    if mat.shape != state.cov.shape:
         raise ValueError("propagator/state dimension mismatch")
-    mean = prop.mat @ state.mean + prop.disp
-    cov = prop.mat @ state.cov @ prop.mat.T
+    mean = mat @ state.mean + disp
+    cov = mat @ state.cov @ mat.T
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(state.n_modes, mean, cov)
+    return GaussianState(mean, cov)

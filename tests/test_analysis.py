@@ -101,10 +101,10 @@ def test_spot_check_fails_on_nan():
     p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
     t = np.array([1.0 / p.Theta])
     sig, noise = cl.readout(p, t[0], 0.0, 0.0)
-    analysis._spot_check("cavityless", [p], t, 0.0, 0.0, [sig], [noise])
+    analysis._spot_check("cavityless", [p], t, 0.0, 0.0, [sig], [noise], ("t", t))
     for bad in ([np.nan], [noise]), ([sig], [np.nan]):
-        with pytest.raises(RuntimeError, match="deviation=nan"):
-            analysis._spot_check("cavityless", [p], t, 0.0, 0.0, *bad)
+        with pytest.raises(RuntimeError, match=r" t=\S+ s=0\.0 n_th=0\.0 deviation=nan"):
+            analysis._spot_check("cavityless", [p], t, 0.0, 0.0, *bad, ("t", t))
 
 
 @pytest.mark.filterwarnings("error")

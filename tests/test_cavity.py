@@ -21,6 +21,9 @@ def test_params():
         cv.CavityParams(g_alpha=np.inf, omega=1.0)
     with pytest.raises(ValueError):
         cv.MeterSqueezing(np.nan, 0.0)
+    # every output is per unit force: the force strength is no field
+    with pytest.raises(TypeError):
+        cv.CavityParams(0.2, 1.0, 2.0)
 
 
 def test_drift_matrix_structure():
@@ -31,32 +34,34 @@ def test_drift_matrix_structure():
     sigma = g.symplectic_form(2)
     assert_allclose(a @ sigma + sigma @ a.T, 0.0, atol=1e-15)
     c = cv.drive_vector(Q, 0.7)
-    assert_allclose(c, [0.0, 0.0, 0.0, Q.omega * Q.force])
+    assert_allclose(c, [0.0, 0.0, 0.0, Q.omega])
     assert_allclose(cv.drive_vector(Q, np.array([0.0, 0.7])), [c, c], rtol=0, atol=0)
 
 
 def test_closed_propagator_vs_expm_and_rk4():
     t = np.pi / Q.omega
-    prop = cv.closed_propagator(Q, t)
-    assert_allclose(prop.mat, expm(cv.drift_matrix(Q) * t), atol=1e-12)
+    mat, disp = cv.closed_propagator(Q, t)
+    assert_allclose(mat, expm(cv.drift_matrix(Q) * t), atol=1e-12)
     spec = oracle.OdeSpec(4, lambda tau: cv.generator(Q, tau), t, 4000)
     m_rk, d_rk = oracle.integrate_propagator(spec)
-    assert_allclose(prop.mat, m_rk, atol=1e-10)
-    assert_allclose(prop.disp, d_rk, atol=1e-10)
+    # the closed form returns the oracle's pair
+    assert (mat.shape, disp.shape) == (m_rk.shape, d_rk.shape) == ((4, 4), (4,))
+    assert_allclose(mat, m_rk, atol=1e-10)
+    assert_allclose(disp, d_rk, atol=1e-10)
 
 
 def test_closed_propagator_is_symplectic():
     sigma = g.symplectic_form(2)
     for wt in np.linspace(0.0, 4 * np.pi, 17):
-        m = cv.closed_propagator(Q, wt / Q.omega).mat
+        m, _ = cv.closed_propagator(Q, wt / Q.omega)
         assert np.max(np.abs(m @ sigma @ m.T - sigma)) < 1e-12
 
 
 def test_amplitude_quadrature_conserved():
     for wt in (0.5, np.pi, 7.0):
-        prop = cv.closed_propagator(Q, wt / Q.omega)
-        assert_allclose(prop.mat[0], [1.0, 0.0, 0.0, 0.0])
-        assert prop.disp[0] == 0.0
+        mat, disp = cv.closed_propagator(Q, wt / Q.omega)
+        assert_allclose(mat[0], [1.0, 0.0, 0.0, 0.0])
+        assert disp[0] == 0.0
 
 
 def test_signal_values():

@@ -27,6 +27,9 @@ def test_param_validation():
         cl.CavitylessParams(chi=1.0, theta=1.5, omega=-1.0)
     with pytest.warns(UserWarning, match="validity regime"):
         cl.CavitylessParams(chi=1.0, theta=2.0, omega=2.0)
+    # every output is per unit force: the force strength is no field
+    with pytest.raises(TypeError):
+        cl.CavitylessParams(1.0, 1.1, 5.0, 2.0)
 
 
 def test_drift_matrix_structure():
@@ -44,7 +47,7 @@ def test_drift_matrix_structure():
 
 def test_drive_vector():
     c0 = cl.drive_vector(P, 0.0)
-    assert_allclose(c0, [0, 0, 0, P.omega * P.force, 0, 0])
+    assert_allclose(c0, [0, 0, 0, P.omega, 0, 0])
     t = 0.4
     c = cl.drive_vector(P, t)
     assert_allclose(c[2], -P.omega * np.sin(P.omega * t))
@@ -55,15 +58,15 @@ def test_drive_vector():
 
 
 def test_closed_propagator_identity_at_zero():
-    prop = cl.closed_propagator(P, 0.0)
-    assert_allclose(prop.mat, np.eye(6), atol=1e-15)
-    assert_allclose(prop.disp, 0.0, atol=1e-15)
+    mat, disp = cl.closed_propagator(P, 0.0)
+    assert_allclose(mat, np.eye(6), atol=1e-15)
+    assert_allclose(disp, 0.0, atol=1e-15)
 
 
 def test_closed_propagator_vs_expm():
     t = 2.3
-    prop = cl.closed_propagator(P, t)
-    assert_allclose(prop.mat, expm(cl.drift_matrix(P) * t), atol=1e-12)
+    mat, _ = cl.closed_propagator(P, t)
+    assert_allclose(mat, expm(cl.drift_matrix(P) * t), atol=1e-12)
 
 
 def test_closed_propagator_vs_rk4():
@@ -71,25 +74,28 @@ def test_closed_propagator_vs_rk4():
     t = np.pi / P.Theta
     spec = oracle.OdeSpec(6, lambda tau: cl.generator(P, tau), t, 20000)
     m_rk, d_rk = oracle.integrate_propagator(spec)
-    prop = cl.closed_propagator(P, t)
-    assert_allclose(prop.mat, m_rk, atol=1e-9)
-    assert_allclose(prop.disp, d_rk, atol=1e-9)
+    mat, disp = cl.closed_propagator(P, t)
+    # the closed form returns the oracle's pair
+    assert (mat.shape, disp.shape) == (m_rk.shape, d_rk.shape) == ((6, 6), (6,))
+    assert_allclose(mat, m_rk, atol=1e-9)
+    assert_allclose(disp, d_rk, atol=1e-9)
 
 
 def test_closed_propagator_is_symplectic():
     sigma = g.symplectic_form(3)
     for tt in np.linspace(0.0, 2 * np.pi, 17):
-        m = cl.closed_propagator(P, tt / P.Theta).mat
+        m, _ = cl.closed_propagator(P, tt / P.Theta)
         assert np.max(np.abs(m @ sigma @ m.T - sigma)) < 1e-12
 
 
 def test_degenerate_resonance_rejected():
+    # refused when the params are built, after the regime warning
+    with pytest.warns(UserWarning, match="validity regime"):
+        with pytest.raises(cl.DegenerateResonanceError):
+            cl.CavitylessParams(chi=1.0, theta=1.025, omega=np.sqrt(1.025**2 - 1.0))
     with pytest.warns(UserWarning):
-        bad = cl.CavitylessParams(chi=1.0, theta=1.025, omega=np.sqrt(1.025**2 - 1.0))
-    with pytest.raises(cl.DegenerateResonanceError):
-        cl.closed_propagator(bad, 1.0)
-    with pytest.raises(cl.DegenerateResonanceError):
-        cl.signal(bad, 1.0)
+        with pytest.raises(cl.DegenerateResonanceError):
+            cl.CavitylessParams.from_ratios(1.025, 1.0)
 
 
 def test_initial_state_layout():
@@ -111,9 +117,6 @@ def test_signal_closed_form_and_rk4():
     assert_allclose(cl.signal(P, t), 0.009703182667914458, rtol=1e-14)
     assert abs(cl.signal(P, t) - 0.009703182667916421) < 1e-11
     assert cl.signal(P, 0.0) == 0.0
-    # linear in the force strength
-    p2 = cl.CavitylessParams(P.chi, P.theta, P.omega, force=2.5)
-    assert_allclose(cl.signal(p2, t), 2.5 * cl.signal(P, t), rtol=1e-14)
 
 
 def test_signal_state_independent():
@@ -167,7 +170,7 @@ def test_snr_and_f_min_consistency():
     curve = analysis.run_sweep(analysis.SweepSpec("cavityless", 0.0, 1.7, 2, s, n_th))
     t = 1.7 / P.Theta
     snr = abs(cl.signal(P, t)) / np.sqrt(cl.noise(P, t, s, n_th))
-    assert_allclose(snr * curve.f_min[-1], P.force, rtol=1e-12)
+    assert_allclose(snr * curve.f_min[-1], 1.0, rtol=1e-12)
     assert curve.f_min[0] == np.inf
 
 

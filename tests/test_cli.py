@@ -185,7 +185,7 @@ def test_bad_input_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, 
     code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
     assert code == 2
     assert f"error: {field}: " in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "np.float64(" not in err
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
 
@@ -215,7 +215,9 @@ WRITES_NOTHING = [
     (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
     (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
     (["power-scaling", "--s", "400"], "cov: "),
-    (["power-scaling", "--model", "cavity", "--s", "400"], "noise: not finite"),
+    # a power-scaling row is named by its multiplier, the column the table writes
+    (["power-scaling", "--model", "cavity", "--s", "400"],
+     "noise: not finite at power_multiplier=0.01 "),
     (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
 ]
 
@@ -229,7 +231,7 @@ def test_bad_result_exits_2_writing_nothing(argv, message, tmp_path, monkeypatch
     code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
     assert code == 2
     assert err.count("error: ") == 1 and f"error: {message}" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "np.float64(" not in err
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
     assert existing.read_text() == "keep"
 
@@ -260,6 +262,22 @@ def test_validate_overflow_stops_before_any_rk4_step(argv, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def test_degenerate_resonance_stops_validate_before_any_rk4_step(tmp_path, monkeypatch,
+                                                                 capsys):
+    # Theta = Omega is refused when the params are built, after the regime warning
+    calls = []
+    for name in ("integrate_propagator", "integrate_moments"):
+        monkeypatch.setattr(cli.analysis.oracle, name,
+                            lambda *args, name=name: calls.append(name))
+    code, _, err = run_cli(["validate", "--omega-over-theta", "1"], tmp_path, monkeypatch,
+                           capsys)
+    assert code == 2 and calls == []
+    warning, error = err.splitlines()
+    assert warning.startswith("warning: omega^2/Theta^2 = 1 < 10.0: outside the validity")
+    assert error.startswith("error: Theta = Omega within tolerance")
+    assert list(tmp_path.iterdir()) == []
+
+
 # Time spans the RK4 oracle would need 1e8 steps or more to certify: a long
 # grid, or a long disentangling time through a small Theta.
 OVER_BUDGET = [
@@ -287,7 +305,7 @@ def test_step_budget_stops_before_any_rk4_step(argv, tmp_path, monkeypatch, caps
     assert code == 2 and err.count("error: ") == 1
     assert re.search(r"error: rk4 steps: .* would take \d(\.\d+)?e\+\d+ RK4 steps, "
                      r"over the budget of 1e\+07 \(model=", err), err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "np.float64(" not in err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 
@@ -310,13 +328,21 @@ def test_power_scaling_spot_check_catches_wrong_closed_form(model, tmp_path, mon
     code, _, err = run_cli(["power-scaling", "--model", model], tmp_path, monkeypatch,
                            capsys)
     assert code == 1 and "error: oracle spot-check failed" in err
+    # the failed row is named by its multiplier, the column the table writes
+    assert re.search(rf"model={model} power_multiplier=\S+ s=0\.0 ", err), err
     assert list(tmp_path.iterdir()) == []
+
 
 
 STDERR_CASES = [
     (["sweep", "--model", "cavityless", "--s", "400"], 2, "error: cov: not finite"),
     (["sweep", "--omega-over-theta", "2", "--points", "41"], 0,
      "warning: omega^2/Theta^2 = 4 < 10.0: outside the validity regime"),
+    # the whole line: a power-scaled params repr shows Python floats, no numpy type
+    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "200"], 2,
+     "error: rk4 steps: the spot-checks to t=6.28319 would take 2.29e+07 RK4 steps, "
+     "over the budget of 1e+07 (model=cavity CavityParams(g_alpha=2000.0, omega=1.0)); "
+     "the oracle cannot certify a time span this long at these parameters"),
 ]
 
 

@@ -77,7 +77,7 @@ def test_cavityless_fast_path_equals_textbook_form(s, n_th):
     times = scaled_times("cavityless") / textbook_theta(p)
     # the sweep passes Python floats, the spot-checks and the ledger numpy floats
     for t in [*times.tolist(), *times]:
-        assert np.array_equal(cl.closed_propagator(p, t).mat, textbook_closed_mat(p, t))
+        assert np.array_equal(cl.closed_propagator(p, t)[0], textbook_closed_mat(p, t))
         assert cl.noise(p, t, s, n_th) == textbook_noise(p, t, s, n_th)
 
 

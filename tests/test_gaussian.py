@@ -145,14 +145,14 @@ def test_expectation_and_variance():
 
 def test_apply_identity_and_purity():
     st = g.two_mode_squeezed(0.8)
-    ident = g.AffinePropagator(np.eye(4), np.zeros(4))
-    assert_allclose(g.apply(ident, st).cov, st.cov)
+    assert_allclose(g.apply((np.eye(4), np.zeros(4)), st).cov, st.cov)
     # a symplectic map keeps pure states pure
     th = 0.7
     rot = np.kron(np.eye(2), np.array([[np.cos(th), np.sin(th)],
                                        [-np.sin(th), np.cos(th)]]))
-    prop = g.AffinePropagator(rot, np.ones(4))
-    assert prop.symplectic_defect() < 1e-14
+    sigma = g.symplectic_form(2)
+    assert np.max(np.abs(rot @ sigma @ rot.T - sigma)) < 1e-14
+    prop = (rot, np.ones(4))
     out = g.apply(prop, g.vacuum_state(2))
     assert_allclose(out.symplectic_eigenvalues(), 0.25, atol=1e-12)
     assert_allclose(out.mean, np.ones(4))
@@ -162,9 +162,16 @@ def test_apply_identity_and_purity():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        g.GaussianState(1, np.zeros(2), np.array([[0.25, 1e-6], [0.0, 0.25]]))
+        g.GaussianState(np.zeros(2), np.array([[0.25, 1e-6], [0.0, 0.25]]))
     with pytest.raises(ValueError):
-        g.GaussianState(1, np.zeros(3), 0.25 * np.eye(2))
+        g.GaussianState(np.zeros(3), 0.25 * np.eye(3))
+    with pytest.raises(ValueError):
+        g.GaussianState(np.zeros(2), 0.25 * np.eye(4))
+    with pytest.raises(ValueError):
+        g.GaussianState(np.zeros((2, 2)), 0.25 * np.eye(4))
+    with pytest.raises(TypeError):
+        g.GaussianState(1, np.zeros(2), 0.25 * np.eye(2))
+    assert g.GaussianState(np.zeros(4), 0.25 * np.eye(4)).n_modes == 2
     with pytest.raises(ValueError):
         g.LinearObservable(np.zeros(4))
 
@@ -177,7 +184,7 @@ def test_state_rejects_non_finite_cov(bad):
     cov[0, 0] = bad
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="cov: not finite; the inputs overflow"):
-            g.GaussianState(1, np.zeros(2), cov)
+            g.GaussianState(np.zeros(2), cov)
         with pytest.raises(ValueError, match="cov: not finite"):
             g.two_mode_squeezed(400.0)
 
