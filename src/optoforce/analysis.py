@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain, repeat, starmap
 
 import numpy as np
 
@@ -191,6 +192,37 @@ def _f_min(model: str, row: tuple[str, np.ndarray], sig, noi, s: float, n_th: fl
     return fmin, snr
 
 
+def _readout_columns(model: str, params, times: list, s: float, n_th: float,
+                     row: tuple[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The (signal/f, noise) columns of the scheme's readout, one call per
+    row at the params and time of the row (params an iterable, times a list).
+
+    The columns are filled as they are computed: no per-row tuple is kept.
+    An OverflowError of a row's readout (a Python float's x**2) becomes a
+    ValueError naming that row by row = (column, the column's values).
+    """
+    readout = SCHEMES[model].readout
+    # _f_min names every value that is not finite: numpy's warnings about
+    # them would only repeat it
+    with np.errstate(all="ignore"):
+        try:
+            pairs = starmap(readout, zip(params, times, repeat(s), repeat(n_th)))
+            flat = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(times))
+        except OverflowError as exc:
+            # the error path only: evaluate the rows again, up to the first
+            # that overflows
+            for key, p, t in zip(row[1], params, times):
+                try:
+                    readout(p, t, s, n_th)
+                except OverflowError:
+                    break
+            raise ValueError(
+                f"the inputs overflow the closed forms at {row[0]}={key:.6g} "
+                f"(model={model} s={s} n_th={n_th})"
+            ) from exc
+    return flat[0::2], flat[1::2]
+
+
 def run_sweep(spec: SweepSpec) -> SensitivityCurve:
     """The curve of spec, oracle-spot-checked at a few grid points."""
     scheme = SCHEMES[spec.model]
@@ -199,15 +231,11 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
     times = t_scaled / scheme.time_unit(p)
     s, n_th = spec.s, spec.n_th
 
-    sig = np.empty(spec.n_points)
-    noi = np.empty(spec.n_points)
-    # _f_min names every value that is not finite: numpy's warnings about
-    # them would only repeat it.  Python floats are the same IEEE doubles as
-    # the grid's, with cheaper scalar arithmetic.
-    with np.errstate(all="ignore"):
-        for i, t in enumerate(times.tolist()):
-            sig[i], noi[i] = scheme.readout(p, t, s, n_th)
-    fmin, snr = _f_min(spec.model, ("t_scaled", t_scaled), sig, noi, s, n_th)
+    # Python floats are the same IEEE doubles as the grid's, with cheaper
+    # scalar arithmetic
+    row = ("t_scaled", t_scaled)
+    sig, noi = _readout_columns(spec.model, repeat(p), times.tolist(), s, n_th, row)
+    fmin, snr = _f_min(spec.model, row, sig, noi, s, n_th)
     rng = np.random.default_rng(zlib.crc32(f"{spec.model}/{s}/{n_th}".encode()))
     idx = np.sort(rng.choice(
         np.arange(1, spec.n_points),
@@ -270,10 +298,8 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
         params = [scheme.power_scaled(base, m) for m in mult]
     in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
     times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
-    with np.errstate(all="ignore"):  # as in run_sweep: _f_min names the value
-        sig, noi = np.array([scheme.readout(p, t, spec.s, 0.0)
-                             for p, t in zip(params, times)]).T
     row = ("power_multiplier", mult)
+    sig, noi = _readout_columns(spec.model, params, times, spec.s, 0.0, row)
     fmin, _ = _f_min(spec.model, row, sig, noi, spec.s, 0.0)
     _spot_check(spec.model, params, times, spec.s, 0.0, sig, noi, row)
 

@@ -15,6 +15,7 @@ Var(Y) at the decorrelation times Omega*t = 2*pi*k.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,13 @@ def _mirror_noise(params: CavityParams, t: float, n_th: float) -> float:
     return _mirror_term(params.r, np.sin(wt), np.cos(wt), n_th)
 
 
+@functools.lru_cache(maxsize=64)
+def _sinh_cosh_2s(s: float) -> tuple[float, float]:
+    """numpy's sinh(2s) and cosh(2s), once per s: math's differ in the last
+    bit for about 1 s in 4."""
+    return float(np.sinh(2.0 * s)), float(np.cosh(2.0 * s))
+
+
 def minimize_noise_over_phi(
     params: CavityParams, t: float, s: float, n_th: float
 ) -> tuple[float, float]:
@@ -201,20 +209,37 @@ def minimize_noise_over_phi(
     form in (cos phi, sin phi); its minimum is the smaller eigenvalue,
     (1 + c^2) e^{-2|s|}/4 with c = (2ga/Omega)^2 [Omega t - sin(Omega t)].
     """
-    # one sin and cos per call.  sn, and through it c, stay numpy floats:
-    # c**2 overflows to inf there, where a Python float raises OverflowError
-    r, wt = params.r, params.omega * t
-    sn, cs = np.sin(wt), np.cos(wt)
+    # Python floats give numpy's doubles bit for bit at half the cost of
+    # numpy scalars: math's sin and cos are numpy's, a float's x**2 is the
+    # pow numpy uses (x*x differs in about 1 double in 1000), and
+    # abs(complex(a, b)) is libm's hypot, as np.hypot is.  Where numpy gives
+    # inf, the last two raise OverflowError instead.  r**2 keeps raising:
+    # analysis names the row.
+    r, wt = params.r, params.omega * float(t)
+    sn, cs = math.sin(wt), math.cos(wt)
     c = r**2 * (wt - sn)
-    c2 = c**2
-    sh = np.sinh(2.0 * s)
-    const = 0.25 * (1.0 + c2) * np.cosh(2.0 * s)
+    # numpy's sinh and cosh (math's differ), once per s.  The cache cannot
+    # tell -0.0 from 0.0, whose sinh differ in sign, so s = 0 skips it
+    sh, ch = _sinh_cosh_2s(s) if s else (2.0 * s, 1.0)
+    try:
+        c2 = c**2
+        mirror = _mirror_term(r, sn, cs, n_th)
+    except OverflowError:
+        # numpy's square is inf.  A mirror square overflows only where c**2
+        # does, and an infinite c**2 makes the noise NaN whatever the mirror
+        c2 = mirror = math.inf
+    const = 0.25 * (1.0 + c2) * ch
     a = 0.25 * (1.0 - c2) * sh
     b = -0.5 * c * sh
-    noise_min = const - np.hypot(a, b) + _mirror_term(r, sn, cs, n_th)
-    # a cos(2phi) + b sin(2phi) is minimized at 2phi = atan2(-b, -a)
-    phi_opt = 0.5 * np.arctan2(-b, -a) % np.pi
-    return float(phi_opt), float(noise_min)
+    try:
+        hyp = abs(complex(a, b))
+    except OverflowError:
+        hyp = math.inf
+    noise_min = const - hyp + mirror
+    # a cos(2phi) + b sin(2phi) is minimized at 2phi = atan2(-b, -a).  numpy's
+    # SIMD arctan2 differs from math.atan2 in about 1.5% of doubles
+    phi_opt = 0.5 * float(np.arctan2(-b, -a)) % math.pi
+    return phi_opt, float(noise_min)
 
 
 def scan_noise_over_phi(

@@ -66,6 +66,23 @@ def test_run_sweep_deterministic():
 
 
 @pytest.mark.parametrize("model", ["cavityless", "cavity"])
+def test_run_sweep_columns_are_the_readout_of_each_point(model, monkeypatch):
+    # the columns are built without a per-point tuple: they must hold each
+    # point's readout bit for bit.  The spot-checks are not what this test
+    # checks, so they are skipped
+    monkeypatch.setattr(analysis, "_spot_check", lambda *args: None)
+    scheme = analysis.SCHEMES[model]
+    p = scheme.params_from_ratios(analysis.DEFAULT_PARAMS)
+    for s, n_th in [(0.0, 0.0), (0.0, 300.0), (5.0, 0.0), (5.0, 300.0)]:
+        curve = analysis.run_sweep(
+            analysis.SweepSpec(model, 0.0, 2 * scheme.T_STAR, 401, s, n_th))
+        times = curve.t_scaled / scheme.time_unit(p)
+        sig, noi = np.array([scheme.readout(p, t, s, n_th) for t in times.tolist()]).T
+        assert curve.signal_per_f.shape == curve.noise.shape == (401,)
+        assert np.array_equal(curve.signal_per_f, sig) and np.array_equal(curve.noise, noi)
+
+
+@pytest.mark.parametrize("model", ["cavityless", "cavity"])
 def test_run_sweep_spot_check_catches_wrong_closed_form(model, monkeypatch):
     # sabotage the closed-form signal on the module, after import: the sweep
     # looks it up at call time, and the RK4 spot check must abort the run
@@ -144,6 +161,15 @@ def test_power_scaling_cavityless_floor():
     # high power drives Theta up and out of the validity regime
     assert not np.all(table["in_regime"])
     assert table["in_regime"][0]
+
+
+def test_power_scaling_overflow_names_the_row_that_overflows():
+    # 2 g alpha sqrt(m)/Omega squared overflows a Python float only at m = 100
+    spec = analysis.PowerScalingSpec("cavity", (0.01, 1.0, 100.0),
+                                     {"g_alpha_over_omega": 1e153})
+    with pytest.raises(ValueError, match=r"^the inputs overflow the closed forms at "
+                       r"power_multiplier=100 \(model=cavity s=0.0 n_th=0.0\)$"):
+        analysis.power_scaling(spec)
 
 
 def test_power_scaling_validation():

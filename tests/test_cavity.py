@@ -130,6 +130,23 @@ def test_minimize_noise_over_phi_matches_scan():
     assert_allclose(n_a, 0.06802788690975436, rtol=1e-12)
 
 
+@pytest.mark.parametrize("t", [1.0, np.float64(1.0)], ids=["float", "float64"])
+def test_minimize_noise_over_phi_overflows_to_a_non_finite_noise(t):
+    # c = r^2 (Omega t - sin Omega t) ~ 6e299: c^2 overflows, which a Python
+    # float's ** raises; the noise is NaN, as numpy's inf gives, with no
+    # exception and no RuntimeWarning (an error under the test settings)
+    _, noise = cv.minimize_noise_over_phi(cv.CavityParams(1e150, 1.0), t, 1.0, 0.0)
+    assert not np.isfinite(noise)
+    # r = 1e154: r^2 is finite, but the mirror's (r (1 - cos Omega t))^2 is
+    # not, and neither is c^2
+    _, noise = cv.minimize_noise_over_phi(cv.CavityParams(5e153, 1.0), 3.0 * t, 1.0, 0.0)
+    assert not np.isfinite(noise)
+    # sinh(2s) ~ 1.7e308 and c ~ 1.8: the sinh terms are finite, their
+    # hypot is not, which abs(complex) raises where np.hypot gives inf
+    _, noise = cv.minimize_noise_over_phi(Q, 10.524335389525808 * t, 355.2, 0.0)
+    assert not np.isfinite(noise)
+
+
 def test_minimized_noise_closed_structure():
     t = 2 * np.pi / Q.omega
     c = 2 * np.pi * Q.r**2

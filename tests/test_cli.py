@@ -197,7 +197,9 @@ WRITES_NOTHING = [
     (["sweep", "-o", "FILE/sub.csv"], "out: "),
     (["validate", "-o", "FILE/l.json"], "out: "),
     (["fig2", "-o", "FILE/dir"], "out: "),
-    (["sweep", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+    # (2 g alpha/Omega)^2 overflows a Python float: the first grid point is named
+    (["sweep", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
+     "the inputs overflow the closed forms at t_scaled=0 "),
     (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
     (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
     (["validate", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
@@ -218,6 +220,8 @@ WRITES_NOTHING = [
     # a power-scaling row is named by its multiplier, the column the table writes
     (["power-scaling", "--model", "cavity", "--s", "400"],
      "noise: not finite at power_multiplier=0.01 "),
+    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e155"],
+     "the inputs overflow the closed forms at power_multiplier=0.01 "),
     (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
 ]
 

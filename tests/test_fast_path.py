@@ -124,6 +124,17 @@ def test_cavity_fast_path_equals_textbook_form(s, n_th):
             q, t, s, n_th)
 
 
+def test_cavity_minimum_keeps_the_sign_of_a_zero_squeezing():
+    # at s = -0.0 the sinh terms are -0.0, and atan2 of signed zeros puts the
+    # angle at 0 or pi/2: a per-s cache must not hand one zero the other's
+    q = cv.CavityParams.from_ratios(0.2)
+    times = scaled_times("cavity") / q.omega
+    for s in (0.0, -0.0, 0.0, -0.0):
+        for t in times.tolist():
+            assert cv.minimize_noise_over_phi(q, t, s, 0.0) == textbook_minimize_noise_over_phi(
+                q, t, s, 0.0)
+
+
 # --- both, over the benchmark's domain ----------------------------------------
 
 
