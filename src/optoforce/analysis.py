@@ -199,7 +199,8 @@ def _readout_columns(model: str, params, times: list, s: float, n_th: float,
 
     The columns are filled as they are computed: no per-row tuple is kept.
     An OverflowError of a row's readout (a Python float's x**2) becomes a
-    ValueError naming that row by row = (column, the column's values).
+    ValueError naming, by row = (column, the column's values), the first bad
+    row: one before it whose value _f_min rejects, else the row itself.
     """
     readout = SCHEMES[model].readout
     # _f_min names every value that is not finite: numpy's warnings about
@@ -211,11 +212,14 @@ def _readout_columns(model: str, params, times: list, s: float, n_th: float,
         except OverflowError as exc:
             # the error path only: evaluate the rows again, up to the first
             # that overflows
+            done = []
             for key, p, t in zip(row[1], params, times):
                 try:
-                    readout(p, t, s, n_th)
+                    done.append(readout(p, t, s, n_th))
                 except OverflowError:
                     break
+            sig, noi = np.array(done, dtype=float).reshape(-1, 2).T
+            _f_min(model, row, sig, noi, s, n_th)
             raise ValueError(
                 f"the inputs overflow the closed forms at {row[0]}={key:.6g} "
                 f"(model={model} s={s} n_th={n_th})"

@@ -245,8 +245,9 @@ def minimize_noise_over_phi(
 def scan_noise_over_phi(
     params: CavityParams, t: float, s: float, n_th: float
 ) -> tuple[float, float]:
-    """Brute-force PHI_SCAN_POINTS-point phi scan over [0, pi) with local
-    bounded refinement.
+    """Brute-force PHI_SCAN_POINTS-point phi scan over [0, pi), refined by
+    scanning again, PHI_SCAN_POINTS points over one grid step either side of
+    the best angle, until the step is below 1e-12 (three rounds).
 
     Independent cross-check of minimize_noise_over_phi; the two agree to
     better than 1e-8.  The angle only rotates the meter, V0(phi) =
@@ -254,27 +255,26 @@ def scan_noise_over_phi(
     the variance under the phi = 0 state of u = M(t)^T y with its meter pair
     rotated by -phi.
     """
-    # imported on use: of the CLI commands only validate scans
-    from scipy.optimize import minimize_scalar
-
     u = closed_propagator(params, t)[0].T @ _READOUT
     v0 = initial_state(MeterSqueezing(s, 0.0), n_th).cov
 
     def cost(phi):
-        """Var(Y) at the angles phi: an array of them, or one float."""
+        """Var(Y) at each angle of the array phi."""
         c, sn = np.cos(phi), np.sin(phi)
-        w = np.multiply.outer(np.ones_like(phi), u)  # u per angle, meter pair rotated below
-        w[..., 0], w[..., 1] = c * u[0] + sn * u[1], c * u[1] - sn * u[0]
-        return np.einsum("...i,ij,...j->...", w, v0, w)
+        w = np.tile(u, (phi.size, 1))  # u per angle, meter pair rotated below
+        w[:, 0], w[:, 1] = c * u[0] + sn * u[1], c * u[1] - sn * u[0]
+        return np.einsum("ki,ij,kj->k", w, v0, w)
 
     phis = np.linspace(0.0, np.pi, PHI_SCAN_POINTS, endpoint=False)
-    i = int(np.argmin(cost(phis)))
     h = np.pi / PHI_SCAN_POINTS
-    res = minimize_scalar(
-        cost, bounds=(phis[i] - h, phis[i] + h), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.x % np.pi), float(res.fun)
+    while True:
+        vals = cost(phis)
+        i = int(np.argmin(vals))
+        if h < 1e-12:
+            return float(phis[i] % np.pi), float(vals[i])
+        # the refined grid holds the best angle, so the minimum never rises
+        phis = np.linspace(phis[i] - h, phis[i] + h, PHI_SCAN_POINTS, endpoint=False)
+        h *= 2.0 / PHI_SCAN_POINTS
 
 
 def f_min_2pi(params: CavityParams, s: float) -> float:

@@ -3,10 +3,8 @@
 Convention: for each mode j the quadratures are X_j = (a_j + a_j^dag)/2 and
 Y_j = -i(a_j - a_j^dag)/2, ordered as (X_1, Y_1, X_2, Y_2, ...).  With this
 normalization [X_j, Y_k] = i delta_jk / 2 and the vacuum variance is 1/4 per
-quadrature.  A state's mode count is half the length of its mean.  An affine
-propagator x -> M x + d is the plain pair (M, d), as the closed forms and the
-RK4 oracle return it.  All constructors return immutable states; all
-operations are pure.
+quadrature.  A state's mode count is half the length of its mean.  All
+constructors return immutable states; all operations are pure.
 """
 
 from __future__ import annotations
@@ -18,18 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _SYMMETRY_TOL = 1e-12
-_UNCERTAINTY_TOL = 1e-10
 
 _max = np.maximum.reduce
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Symplectic form Sigma: block-diagonal 2x2 blocks [[0, 1/2], [-1/2, 0]]."""
-    block = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    sigma = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        sigma[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block
-    return sigma
 
 
 @dataclass(frozen=True)
@@ -63,21 +51,6 @@ class GaussianState:
     def n_modes(self) -> int:
         return len(self.mean) // 2
 
-    def uncertainty_defect(self) -> float:
-        """Smallest eigenvalue of cov + (i/2)*Sigma; physical states give >= -1e-10."""
-        sigma = symplectic_form(self.n_modes)
-        herm = self.cov + 0.5j * sigma
-        return float(np.linalg.eigvalsh(herm).min())
-
-    def is_physical(self) -> bool:
-        return self.uncertainty_defect() >= -_UNCERTAINTY_TOL
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic eigenvalues of cov (all equal to 1/4 for pure states)."""
-        omega = 2.0 * symplectic_form(self.n_modes)
-        ev = np.sort(np.abs(np.linalg.eigvals(1j * omega @ self.cov)))
-        return ev[::2]  # eigenvalues come in +- pairs; keep one of each
-
 
 @dataclass(frozen=True)
 class LinearObservable:
@@ -91,14 +64,6 @@ class LinearObservable:
         if coeffs.ndim != 1 or not np.any(coeffs):
             raise ValueError("coeffs must be a non-zero vector")
         object.__setattr__(self, "coeffs", coeffs)
-
-
-def vacuum_state(n_modes: int) -> GaussianState:
-    """n-mode vacuum: zero mean, cov = (1/4) identity."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    d = 2 * n_modes
-    return GaussianState(np.zeros(d), 0.25 * np.eye(d))
 
 
 def thermal_state(n_bar: float) -> GaussianState:
@@ -179,27 +144,3 @@ def reorder_modes(state: GaussianState, order: list[int]) -> GaussianState:
     """Permute modes so that new mode i is old mode order[i]."""
     idx, flat = _quadrature_index(state.n_modes, tuple(order))
     return GaussianState(state.mean.take(idx), state.cov.take(flat))
-
-
-def expectation(obs: LinearObservable, state: GaussianState) -> float:
-    if obs.coeffs.shape != state.mean.shape:
-        raise ValueError("observable/state dimension mismatch")
-    return float(obs.coeffs @ state.mean)
-
-
-def variance(obs: LinearObservable, state: GaussianState) -> float:
-    if obs.coeffs.shape != state.mean.shape:
-        raise ValueError("observable/state dimension mismatch")
-    return float(obs.coeffs @ state.cov @ obs.coeffs)
-
-
-def apply(prop: tuple[np.ndarray, np.ndarray], state: GaussianState) -> GaussianState:
-    """Propagate moments by prop = (M, d), the map x -> M x + d that the closed
-    forms and the RK4 oracle return: mean -> M mean + d, cov -> M cov M^T."""
-    mat, disp = prop
-    if mat.shape != state.cov.shape:
-        raise ValueError("propagator/state dimension mismatch")
-    mean = mat @ state.mean + disp
-    cov = mat @ state.cov @ mat.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov)

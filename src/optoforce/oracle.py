@@ -302,15 +302,16 @@ def _tmsv_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _squeezed_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of exp[zeta* a^2 - zeta a^dag^2]|0>, zeta = (s/2) e^{2i phi}."""
-    from scipy.linalg import expm  # imported on use: the CLI starts without scipy
-
+    """Moments of exp[zeta* a^2 - zeta a^dag^2]|0>, zeta = (s/2) e^{2i phi}, from
+    its closed Fock amplitudes psi_2n = (-e^{2i phi} tanh s)^n sqrt((2n)!)/(2^n n!)
+    / sqrt(cosh s); the neglected tail weight is 1 - ||psi||^2 exactly."""
     cut = spec.cutoff()
-    a = _ladder(cut)
-    zeta = 0.5 * spec.param * np.exp(2j * spec.phi)
-    gen = np.conj(zeta) * (a @ a) - zeta * (a.T @ a.T)
-    psi = expm(gen) @ np.eye(cut + 1)[:, 0]
-    tail = abs(psi[-1]) ** 2 + abs(psi[-2]) ** 2
+    n = np.arange(1, cut // 2 + 1)
+    # psi_2n / psi_2n-2 = -e^{2i phi} tanh(s) sqrt((2n - 1)/(2n))
+    steps = -np.exp(2j * spec.phi) * np.tanh(spec.param) * np.sqrt((2 * n - 1) / (2 * n))
+    psi = np.zeros(cut + 1, dtype=complex)
+    psi[::2] = np.cumprod(np.append(1.0, steps)) / np.sqrt(np.cosh(spec.param))
+    tail = 1.0 - np.vdot(psi, psi).real
     if tail > _TAIL_TOL:
         raise ValueError(
             f"truncation tail {tail:.3g} exceeds {_TAIL_TOL}; "

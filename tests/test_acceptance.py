@@ -12,6 +12,8 @@ import numpy as np
 
 from optoforce import analysis, cavity, cavityless, cli, gaussian, oracle
 
+import gaussian_helpers as gh
+
 CL = cavityless.CavitylessParams.from_ratios(1.025, 10.3)
 CV = cavity.CavityParams.from_ratios(0.2)
 
@@ -107,7 +109,7 @@ def test_criterion_06_signal_state_independence():
         prop = cavityless.closed_propagator(CL, tt / CL.Theta)
         ref = cavityless.signal(CL, tt / CL.Theta)
         for s, n in combos:
-            out = gaussian.apply(prop, cavityless.initial_state(s, n))
+            out = gh.apply(prop, cavityless.initial_state(s, n))
             dev = max(dev, abs(float(z_cl @ out.mean) - ref))
     y_cv = cavity.readout_observable().coeffs
     for tt in np.linspace(0.1, 4 * np.pi, 15):
@@ -115,7 +117,7 @@ def test_criterion_06_signal_state_independence():
         ref = cavity.signal(CV, tt / CV.omega)
         for s, n in combos:
             state = cavity.initial_state(cavity.MeterSqueezing(s, 0.7), n)
-            out = gaussian.apply(prop, state)
+            out = gh.apply(prop, state)
             dev = max(dev, abs(float(y_cv @ out.mean) - ref))
     assert dev < 1e-12, f"max deviation {dev:.3g}"
     print(f"PASS criterion 6: signal independent of (s, n_th), "
@@ -148,11 +150,11 @@ def test_criterion_07_fock_oracle_state_validation():
 
 def test_criterion_08_symplectic_invariance():
     dev = 0.0
-    sigma3 = gaussian.symplectic_form(3)
+    sigma3 = gh.symplectic_form(3)
     for tt in np.linspace(0.0, 2 * np.pi, N_TIME_POINTS):
         m, _ = cavityless.closed_propagator(CL, tt / CL.Theta)
         dev = max(dev, np.max(np.abs(m @ sigma3 @ m.T - sigma3)))
-    sigma2 = gaussian.symplectic_form(2)
+    sigma2 = gh.symplectic_form(2)
     for tt in np.linspace(0.0, 4 * np.pi, N_TIME_POINTS):
         m, _ = cavity.closed_propagator(CV, tt / CV.omega)
         dev = max(dev, np.max(np.abs(m @ sigma2 @ m.T - sigma2)))

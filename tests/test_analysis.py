@@ -164,11 +164,19 @@ def test_power_scaling_cavityless_floor():
 
 
 def test_power_scaling_overflow_names_the_row_that_overflows():
-    # 2 g alpha sqrt(m)/Omega squared overflows a Python float only at m = 100
+    # 2 g alpha sqrt(m)/Omega squared overflows a Python float only at
+    # m = 1e302, and the rows before it are finite
+    spec = analysis.PowerScalingSpec("cavity", (0.01, 1.0, 1e302),
+                                     {"g_alpha_over_omega": 1e3})
+    with pytest.raises(ValueError, match=r"^the inputs overflow the closed forms at "
+                       r"power_multiplier=1e\+302 \(model=cavity s=0.0 n_th=0.0\)$"):
+        analysis.power_scaling(spec)
+    # the square overflows only at m = 100, but the noise of every row before
+    # it is already NaN: the first bad row is named
     spec = analysis.PowerScalingSpec("cavity", (0.01, 1.0, 100.0),
                                      {"g_alpha_over_omega": 1e153})
-    with pytest.raises(ValueError, match=r"^the inputs overflow the closed forms at "
-                       r"power_multiplier=100 \(model=cavity s=0.0 n_th=0.0\)$"):
+    with pytest.raises(ValueError, match=r"^noise: not finite at power_multiplier=0.01 "
+                       r"\(model=cavity s=0.0 n_th=0.0\); the inputs overflow"):
         analysis.power_scaling(spec)
 
 

@@ -5,8 +5,9 @@ from scipy.linalg import expm
 
 from optoforce import analysis
 from optoforce import cavity as cv
-from optoforce import gaussian as g
 from optoforce import oracle
+
+import gaussian_helpers as gh
 
 Q = cv.CavityParams.from_ratios(0.2)
 
@@ -31,7 +32,7 @@ def test_drift_matrix_structure():
     # Xa is a constant of motion
     assert np.all(a[0] == 0.0)
     # generator of a symplectic flow
-    sigma = g.symplectic_form(2)
+    sigma = gh.symplectic_form(2)
     assert_allclose(a @ sigma + sigma @ a.T, 0.0, atol=1e-15)
     c = cv.drive_vector(Q, 0.7)
     assert_allclose(c, [0.0, 0.0, 0.0, Q.omega])
@@ -51,7 +52,7 @@ def test_closed_propagator_vs_expm_and_rk4():
 
 
 def test_closed_propagator_is_symplectic():
-    sigma = g.symplectic_form(2)
+    sigma = gh.symplectic_form(2)
     for wt in np.linspace(0.0, 4 * np.pi, 17):
         m, _ = cv.closed_propagator(Q, wt / Q.omega)
         assert np.max(np.abs(m @ sigma @ m.T - sigma)) < 1e-12
@@ -81,7 +82,7 @@ def test_signal_nondecreasing_and_state_independent():
     t = 1.9 / Q.omega
     prop = cv.closed_propagator(Q, t)
     for s, phi, n_th in [(0.0, 0.0, 0.0), (5.0, 1.0, 300.0), (-1.0, 2.0, 3.0)]:
-        out = g.apply(prop, cv.initial_state(cv.MeterSqueezing(s, phi), n_th))
+        out = gh.apply(prop, cv.initial_state(cv.MeterSqueezing(s, phi), n_th))
         assert_allclose(y @ out.mean, cv.signal(Q, t), atol=1e-12)
 
 
@@ -118,7 +119,7 @@ def test_noise_literal_normalization():
 
 def test_minimize_noise_over_phi_matches_scan():
     for wt in (1.3, 2 * np.pi, 7.0):
-        for s in (0.0, 1.0, 5.0):
+        for s in (0.0, 1.0, 5.0, -3.0):
             for n_th in (0.0, 0.5, 300.0):
                 phi_a, n_a = cv.minimize_noise_over_phi(Q, wt / Q.omega, s, n_th)
                 phi_s, n_s = cv.scan_noise_over_phi(Q, wt / Q.omega, s, n_th)

@@ -8,6 +8,8 @@ from optoforce import cavityless as cl
 from optoforce import gaussian as g
 from optoforce import oracle
 
+import gaussian_helpers as gh
+
 P = cl.CavitylessParams.from_ratios(1.025, 10.3)
 
 
@@ -41,7 +43,7 @@ def test_drift_matrix_structure():
     # the closed-form propagator relies on A^3 = -Theta^2 A
     assert_allclose(a @ a @ a, -P.Theta**2 * a, atol=1e-12)
     # generator of a symplectic flow: A Sigma + Sigma A^T = 0
-    sigma = g.symplectic_form(3)
+    sigma = gh.symplectic_form(3)
     assert_allclose(a @ sigma + sigma @ a.T, 0.0, atol=1e-15)
 
 
@@ -82,7 +84,7 @@ def test_closed_propagator_vs_rk4():
 
 
 def test_closed_propagator_is_symplectic():
-    sigma = g.symplectic_form(3)
+    sigma = gh.symplectic_form(3)
     for tt in np.linspace(0.0, 2 * np.pi, 17):
         m, _ = cl.closed_propagator(P, tt / P.Theta)
         assert np.max(np.abs(m @ sigma @ m.T - sigma)) < 1e-12
@@ -106,7 +108,7 @@ def test_initial_state_layout():
     # sideband correlations reduce Var(Y1 - Y2) for s > 0
     assert st.cov[0, 4] < 0 < st.cov[1, 5]
     y_diff = g.LinearObservable(np.array([0, 1.0, 0, 0, 0, -1.0]))
-    assert_allclose(g.variance(y_diff, st), np.exp(-1.4) / 2.0)
+    assert_allclose(gh.variance(y_diff, st), np.exp(-1.4) / 2.0)
     # no correlation with the mirror
     assert np.all(st.cov[2:4, [0, 1, 4, 5]] == 0.0)
 
@@ -125,7 +127,7 @@ def test_signal_state_independent():
     prop = cl.closed_propagator(P, t)
     z = cl.z_i_observable().coeffs
     for s, n_th in [(0.0, 0.0), (5.0, 300.0), (-2.0, 10.0)]:
-        out = g.apply(prop, cl.initial_state(s, n_th))
+        out = gh.apply(prop, cl.initial_state(s, n_th))
         assert_allclose(z @ out.mean, cl.signal(P, t), atol=1e-14)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from optoforce import cli
+from optoforce import cli, oracle
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys):
@@ -222,6 +222,10 @@ WRITES_NOTHING = [
      "noise: not finite at power_multiplier=0.01 "),
     (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e155"],
      "the inputs overflow the closed forms at power_multiplier=0.01 "),
+    # the first row that overflows is 50.1187, but every row from 0.01 up
+    # already has a NaN noise: the first bad row is named
+    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e153"],
+     "noise: not finite at power_multiplier=0.01 "),
     (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
 ]
 
@@ -543,6 +547,38 @@ def test_cli_import_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+FOCK_SPECS = [("thermal", 0.5), ("tmsv", 0.5), ("squeezed", 0.5, 0.4)]
+
+
+def test_validate_and_the_fock_oracle_run_without_scipy(tmp_path, monkeypatch, capsys):
+    # the package depends on numpy alone: with scipy blocked, in a subprocess,
+    # the Fock oracle's three families and validate give what they give here
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from optoforce import cli, oracle\n"
+            f"for spec in {FOCK_SPECS!r}:\n"
+            "    print(oracle.fock_moments(oracle.FockSpec(*spec))[1].tolist())\n"
+            "sys.exit(cli.main(['validate']))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop(cli.OUTDIR_ENV, None)
+    (tmp_path / "blocked").mkdir()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path / "blocked",
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+    (tmp_path / "normal").mkdir()
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path / "normal")
+    moments = [f"{oracle.fock_moments(oracle.FockSpec(*spec))[1].tolist()}\n"
+               for spec in FOCK_SPECS]
+    assert cli.main(["validate"]) == 0
+    out = capsys.readouterr().out
+    assert "validate: healthy" in out
+    assert proc.stdout == "".join(moments) + out
+    name = "validation_ledger.json"
+    assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "normal" / name).read_bytes()
 
 
 # --- commands ------------------------------------------------------------
