@@ -186,44 +186,26 @@ def _f_min(model: str, row: tuple[str, np.ndarray], sig, noi, s: float, n_th: fl
                 f"{name}: {what} at {row[0]}={row[1][bad[0]]:.6g} "
                 f"(model={model} s={s} n_th={n_th}); {why}"
             )
-    with np.errstate(divide="ignore"):
+    # f_min is inf where the signal vanishes, also where the noise does (0/0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         fmin = np.where(sig != 0.0, np.sqrt(noi) / np.abs(sig), np.inf)
         snr = np.where(np.isfinite(fmin), 1.0 / fmin, 0.0)
     return fmin, snr
 
 
-def _readout_columns(model: str, params, times: list, s: float, n_th: float,
-                     row: tuple[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _readout_columns(model: str, params, times: list, s: float,
+                     n_th: float) -> tuple[np.ndarray, np.ndarray]:
     """The (signal/f, noise) columns of the scheme's readout, one call per
     row at the params and time of the row (params an iterable, times a list).
 
     The columns are filled as they are computed: no per-row tuple is kept.
-    An OverflowError of a row's readout (a Python float's x**2) becomes a
-    ValueError naming, by row = (column, the column's values), the first bad
-    row: one before it whose value _f_min rejects, else the row itself.
     """
     readout = SCHEMES[model].readout
     # _f_min names every value that is not finite: numpy's warnings about
     # them would only repeat it
     with np.errstate(all="ignore"):
-        try:
-            pairs = starmap(readout, zip(params, times, repeat(s), repeat(n_th)))
-            flat = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(times))
-        except OverflowError as exc:
-            # the error path only: evaluate the rows again, up to the first
-            # that overflows
-            done = []
-            for key, p, t in zip(row[1], params, times):
-                try:
-                    done.append(readout(p, t, s, n_th))
-                except OverflowError:
-                    break
-            sig, noi = np.array(done, dtype=float).reshape(-1, 2).T
-            _f_min(model, row, sig, noi, s, n_th)
-            raise ValueError(
-                f"the inputs overflow the closed forms at {row[0]}={key:.6g} "
-                f"(model={model} s={s} n_th={n_th})"
-            ) from exc
+        pairs = starmap(readout, zip(params, times, repeat(s), repeat(n_th)))
+        flat = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(times))
     return flat[0::2], flat[1::2]
 
 
@@ -238,7 +220,7 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
     # Python floats are the same IEEE doubles as the grid's, with cheaper
     # scalar arithmetic
     row = ("t_scaled", t_scaled)
-    sig, noi = _readout_columns(spec.model, repeat(p), times.tolist(), s, n_th, row)
+    sig, noi = _readout_columns(spec.model, repeat(p), times.tolist(), s, n_th)
     fmin, snr = _f_min(spec.model, row, sig, noi, s, n_th)
     rng = np.random.default_rng(zlib.crc32(f"{spec.model}/{s}/{n_th}".encode()))
     idx = np.sort(rng.choice(
@@ -303,7 +285,7 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
     times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
     row = ("power_multiplier", mult)
-    sig, noi = _readout_columns(spec.model, params, times, spec.s, 0.0, row)
+    sig, noi = _readout_columns(spec.model, params, times, spec.s, 0.0)
     fmin, _ = _f_min(spec.model, row, sig, noi, spec.s, 0.0)
     _spot_check(spec.model, params, times, spec.s, 0.0, sig, noi, row)
 

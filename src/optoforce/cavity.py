@@ -9,7 +9,10 @@ no force, and closed_propagator returns the oracle's pair (M(t), d(t)).
 
 Mode order is (a, b); quadrature order (Xa, Ya, Xb, Yb).  The amplitude
 quadrature Xa is a constant of motion.  Thermal mirror noise drops out of
-Var(Y) at the decorrelation times Omega*t = 2*pi*k.
+Var(Y) at the decorrelation times Omega*t = 2*pi*k.  The squeezing angle is
+optimized at every time: minimize_noise_over_phi gives the minimum in closed
+form, exact to rounding at every s, and scan_noise_over_phi checks it by a
+brute-force scan.
 """
 
 from __future__ import annotations
@@ -184,8 +187,8 @@ def noise_literal(
 
 def _mirror_term(r: float, sn, cs, n_th: float):
     """Mirror part of Var(Y) from sin(Omega t) and cos(Omega t)."""
-    k2 = (r * sn) ** 2 + (r * (1.0 - cs)) ** 2
-    return 0.25 * k2 * (1.0 + 2.0 * n_th)
+    ks, kc = r * sn, r * (1.0 - cs)
+    return 0.25 * (ks * ks + kc * kc) * (1.0 + 2.0 * n_th)
 
 
 def _mirror_noise(params: CavityParams, t: float, n_th: float) -> float:
@@ -193,53 +196,25 @@ def _mirror_noise(params: CavityParams, t: float, n_th: float) -> float:
     return _mirror_term(params.r, np.sin(wt), np.cos(wt), n_th)
 
 
-@functools.lru_cache(maxsize=64)
-def _sinh_cosh_2s(s: float) -> tuple[float, float]:
-    """numpy's sinh(2s) and cosh(2s), once per s: math's differ in the last
-    bit for about 1 s in 4."""
-    return float(np.sinh(2.0 * s)), float(np.cosh(2.0 * s))
-
-
 def minimize_noise_over_phi(
     params: CavityParams, t: float, s: float, n_th: float
 ) -> tuple[float, float]:
     """Analytic minimum of Var(Y)(t) over the squeezing angle phi.
 
-    The meter contribution is const + A cos 2phi + B sin 2phi, a quadratic
-    form in (cos phi, sin phi); its minimum is the smaller eigenvalue,
-    (1 + c^2) e^{-2|s|}/4 with c = (2ga/Omega)^2 [Omega t - sin(Omega t)].
+    The meter enters Var(Y) along v = (c, 1) with c = (2ga/Omega)^2
+    [Omega t - sin(Omega t)]: as |v|^2 (e^{-2s} cos^2 a + e^{2s} sin^2 a)/4,
+    a the angle between v and the squeezed axis (cos phi, sin phi).  The
+    minimum, (1 + c^2) e^{-2|s|}/4, puts that axis along v (phi = atan2(1, c))
+    for s >= 0 and across it for s < 0.  Its products and one exp of -2|s|
+    cancel nothing, so it is exact to rounding at every s; an overflow gives
+    inf or NaN, never an exception.
     """
-    # Python floats give numpy's doubles bit for bit at half the cost of
-    # numpy scalars: math's sin and cos are numpy's, a float's x**2 is the
-    # pow numpy uses (x*x differs in about 1 double in 1000), and
-    # abs(complex(a, b)) is libm's hypot, as np.hypot is.  Where numpy gives
-    # inf, the last two raise OverflowError instead.  r**2 keeps raising:
-    # analysis names the row.
     r, wt = params.r, params.omega * float(t)
     sn, cs = math.sin(wt), math.cos(wt)
-    c = r**2 * (wt - sn)
-    # numpy's sinh and cosh (math's differ), once per s.  The cache cannot
-    # tell -0.0 from 0.0, whose sinh differ in sign, so s = 0 skips it
-    sh, ch = _sinh_cosh_2s(s) if s else (2.0 * s, 1.0)
-    try:
-        c2 = c**2
-        mirror = _mirror_term(r, sn, cs, n_th)
-    except OverflowError:
-        # numpy's square is inf.  A mirror square overflows only where c**2
-        # does, and an infinite c**2 makes the noise NaN whatever the mirror
-        c2 = mirror = math.inf
-    const = 0.25 * (1.0 + c2) * ch
-    a = 0.25 * (1.0 - c2) * sh
-    b = -0.5 * c * sh
-    try:
-        hyp = abs(complex(a, b))
-    except OverflowError:
-        hyp = math.inf
-    noise_min = const - hyp + mirror
-    # a cos(2phi) + b sin(2phi) is minimized at 2phi = atan2(-b, -a).  numpy's
-    # SIMD arctan2 differs from math.atan2 in about 1.5% of doubles
-    phi_opt = 0.5 * float(np.arctan2(-b, -a)) % math.pi
-    return phi_opt, float(noise_min)
+    c = r * r * (wt - sn)
+    noise_min = 0.25 * (1.0 + c * c) * math.exp(-2.0 * abs(s))
+    phi_opt = math.atan2(1.0, c) + (0.5 * math.pi if s < 0 else 0.0)
+    return phi_opt % math.pi, noise_min + _mirror_term(r, sn, cs, n_th)
 
 
 def scan_noise_over_phi(

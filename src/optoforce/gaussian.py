@@ -96,19 +96,23 @@ def two_mode_squeezed(s: float) -> GaussianState:
 def single_mode_squeezed(s: float, phi: float) -> GaussianState:
     """Squeezed vacuum exp[zeta* a^2 - zeta a^dag^2]|0> with zeta = (s/2) e^{2i phi}.
 
-    At phi = 0 the X quadrature is squeezed: Var(X) = e^{-2s}/4.
+    The covariance is R(phi) diag(e^{-2s}, e^{2s}) R(phi)^T / 4: at phi = 0
+    the X quadrature is squeezed, Var(X) = e^{-2s}/4.  Each diagonal entry is
+    a sum of non-negative terms, exact to rounding at every s, where
+    cosh(2s) - sinh(2s) would cancel.
     """
     if not (np.isfinite(s) and np.isfinite(phi)):
         raise ValueError("s and phi must be finite")
-    ch, sh = np.cosh(2.0 * s), np.sinh(2.0 * s)
-    c2, s2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
-    cov = 0.25 * np.array(
-        [
-            [ch - sh * c2, -sh * s2],
-            [-sh * s2, ch + sh * c2],
-        ]
-    )
-    return GaussianState(np.zeros(2), cov)
+    c, sn = math.cos(phi), math.sin(phi)
+    # an e^{2|s|} that overflows makes the covariance inf or NaN, which
+    # GaussianState names: numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        em, ep = np.exp(-2.0 * s), np.exp(2.0 * s)
+        cov = np.zeros((2, 2))
+        cov[0, 0] = 0.25 * (c * c * em + sn * sn * ep)
+        cov[1, 1] = 0.25 * (sn * sn * em + c * c * ep)
+        cov[0, 1] = cov[1, 0] = 0.25 * c * sn * (em - ep)
+        return GaussianState(np.zeros(2), cov)
 
 
 def tensor(states: list[GaussianState]) -> GaussianState:

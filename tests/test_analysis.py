@@ -126,9 +126,11 @@ def test_spot_check_fails_on_nan():
 
 @pytest.mark.filterwarnings("error")
 def test_run_sweep_rejects_non_finite_values():
-    # _f_min names the value; numpy warns about none of the overflows before it
+    # the rows are finite (e^{-800} is 0, and 0/0 at t = 0 gives an inf f_min),
+    # the spot-check's meter state holds e^{800}: GaussianState names it, and
+    # numpy warns about none of the overflows before it
     spec = analysis.SweepSpec("cavity", 0.0, np.pi, 11, 400.0, 0.0)
-    with pytest.raises(ValueError, match="noise: not finite"):
+    with pytest.raises(ValueError, match="cov: not finite"):
         analysis.run_sweep(spec)
 
 
@@ -164,15 +166,16 @@ def test_power_scaling_cavityless_floor():
 
 
 def test_power_scaling_overflow_names_the_row_that_overflows():
-    # 2 g alpha sqrt(m)/Omega squared overflows a Python float only at
-    # m = 1e302, and the rows before it are finite
+    # 2 g alpha sqrt(m)/Omega squared is inf only at m = 1e302, and the rows
+    # before it are finite
     spec = analysis.PowerScalingSpec("cavity", (0.01, 1.0, 1e302),
                                      {"g_alpha_over_omega": 1e3})
-    with pytest.raises(ValueError, match=r"^the inputs overflow the closed forms at "
-                       r"power_multiplier=1e\+302 \(model=cavity s=0.0 n_th=0.0\)$"):
+    with pytest.raises(ValueError, match=r"^noise: not finite at power_multiplier=1e\+302 "
+                       r"\(model=cavity s=0.0 n_th=0.0\); the inputs overflow the closed "
+                       r"forms$"):
         analysis.power_scaling(spec)
-    # the square overflows only at m = 100, but the noise of every row before
-    # it is already NaN: the first bad row is named
+    # the square is inf only at m = 100, but c^2 is inf in every row before
+    # it: the first bad row is named
     spec = analysis.PowerScalingSpec("cavity", (0.01, 1.0, 100.0),
                                      {"g_alpha_over_omega": 1e153})
     with pytest.raises(ValueError, match=r"^noise: not finite at power_multiplier=0.01 "

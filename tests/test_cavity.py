@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -133,18 +135,17 @@ def test_minimize_noise_over_phi_matches_scan():
 
 @pytest.mark.parametrize("t", [1.0, np.float64(1.0)], ids=["float", "float64"])
 def test_minimize_noise_over_phi_overflows_to_a_non_finite_noise(t):
-    # c = r^2 (Omega t - sin Omega t) ~ 6e299: c^2 overflows, which a Python
-    # float's ** raises; the noise is NaN, as numpy's inf gives, with no
-    # exception and no RuntimeWarning (an error under the test settings)
+    # c = r^2 (Omega t - sin Omega t) ~ 6e299: c * c is inf, and so is the
+    # noise, with no exception and no RuntimeWarning (an error under the test
+    # settings)
     _, noise = cv.minimize_noise_over_phi(cv.CavityParams(1e150, 1.0), t, 1.0, 0.0)
     assert not np.isfinite(noise)
-    # r = 1e154: r^2 is finite, but the mirror's (r (1 - cos Omega t))^2 is
+    # r = 1e154: r * r is finite, but the mirror's (r (1 - cos Omega t))^2 is
     # not, and neither is c^2
     _, noise = cv.minimize_noise_over_phi(cv.CavityParams(5e153, 1.0), 3.0 * t, 1.0, 0.0)
     assert not np.isfinite(noise)
-    # sinh(2s) ~ 1.7e308 and c ~ 1.8: the sinh terms are finite, their
-    # hypot is not, which abs(complex) raises where np.hypot gives inf
-    _, noise = cv.minimize_noise_over_phi(Q, 10.524335389525808 * t, 355.2, 0.0)
+    # r = 2e200: r * r is inf already
+    _, noise = cv.minimize_noise_over_phi(cv.CavityParams(1e200, 1.0), t, 1.0, 0.0)
     assert not np.isfinite(noise)
 
 
@@ -183,3 +184,19 @@ def test_f_min_consistent_with_noise_at_2pi():
     phi, _ = cv.minimize_noise_over_phi(Q, t, 1.0, 0.0)
     direct = np.sqrt(cv.noise(Q, t, cv.MeterSqueezing(1.0, phi), 0.0)) / abs(cv.signal(Q, t))
     assert_allclose(direct, cv.f_min_2pi(Q, 1.0), rtol=1e-10)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    g_alpha_over_omega=st.floats(0.05, 2.0),
+    s=st.floats(-12.0, 12.0),
+    n_th=st.floats(0.0, 1e3),
+)
+def test_sweep_row_at_2pi_is_the_closed_e_minus_s_law(g_alpha_over_omega, s, n_th):
+    # the phi-minimized noise cancels no e^{2|s|}-sized terms: the sweep row
+    # at the decorrelation time is f_min_2pi to rounding, thermal noise and
+    # all, out to |s| = 12 (e^{-24} ~ 4e-11 of the unsqueezed noise)
+    params = {"g_alpha_over_omega": g_alpha_over_omega}
+    row = analysis.SweepSpec("cavity", 0.0, cv.T_STAR, 2, s, n_th, params)
+    f_min = analysis.run_sweep(row).f_min[-1]
+    assert_allclose(f_min, cv.f_min_2pi(cv.params_from_ratios(params), s), rtol=1e-12)

@@ -165,7 +165,7 @@ def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
 
 BAD_INPUTS = [
     (["sweep", "--n-th", "nan"], "n_th"),
-    (["sweep", "--model", "cavity", "--s", "400"], "noise"),
+    (["sweep", "--model", "cavity", "--s", "400"], "cov"),
     (["sweep", "--model", "cavityless", "--s", "400"], "cov"),
     (["sweep", "-o", "DIR"], "out"),
     (["sql", "-o", "DIR"], "out"),
@@ -197,11 +197,14 @@ WRITES_NOTHING = [
     (["sweep", "-o", "FILE/sub.csv"], "out: "),
     (["validate", "-o", "FILE/l.json"], "out: "),
     (["fig2", "-o", "FILE/dir"], "out: "),
-    # (2 g alpha/Omega)^2 overflows a Python float: the first grid point is named
+    # (2 g alpha/Omega)^2 is inf, and inf * 0 is NaN at t = 0: the first grid
+    # point is named
     (["sweep", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
-     "the inputs overflow the closed forms at t_scaled=0 "),
-    (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
-    (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+     "noise: not finite at t_scaled=0 "),
+    (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
+     "noise: not finite at t_scaled=0 "),
+    (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
+     "noise: not finite at t_scaled=0 "),
     (["validate", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
     (["sweep", "--theta-over-chi", "1e200"], "the inputs overflow"),
     (["sweep", "--omega-over-theta", "1e300"], "the inputs overflow"),
@@ -215,15 +218,16 @@ WRITES_NOTHING = [
     (["sweep", "--model", "cavityless", "--n-th", "1e308"], "cov: not finite"),
     (["sweep", "--model", "cavity", "--n-th", "1e308"], "noise: not finite"),
     (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
-    (["sweep", "--model", "cavity", "--s", "10", "--points", "41"], "noise: negative"),
     (["power-scaling", "--s", "400"], "cov: "),
-    # a power-scaling row is named by its multiplier, the column the table writes
+    # e^{-800} is 0, so the rows are finite, but the spot-check's meter state
+    # holds e^{800}
     (["power-scaling", "--model", "cavity", "--s", "400"],
-     "noise: not finite at power_multiplier=0.01 "),
+     "cov: not finite; the inputs overflow"),
+    # a power-scaling row is named by its multiplier, the column the table writes
     (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e155"],
-     "the inputs overflow the closed forms at power_multiplier=0.01 "),
-    # the first row that overflows is 50.1187, but every row from 0.01 up
-    # already has a NaN noise: the first bad row is named
+     "noise: not finite at power_multiplier=0.01 "),
+    # (2 g alpha/Omega)^2 is inf only from 50.1187 up, but c^2 is inf from
+    # 0.01 up: the first bad row is named
     (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e153"],
      "noise: not finite at power_multiplier=0.01 "),
     (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
@@ -521,7 +525,14 @@ def test_export_holds_about_twice_its_text(tmp_path):
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask 022", "umask 077"])
 @pytest.mark.parametrize("argv", [["sweep", "--points", "5"],
                                   ["fig2", "--model", "cavity", "--points", "5"],
-                                  ["validate"]], ids=["sweep", "fig2", "validate"])
+                                  ["validate"],
+                                  # a strong coupling and a squeezed cavity table:
+                                  # the phi-minimized noise is exact there too
+                                  ["validate", "--g-alpha-over-omega", "5"],
+                                  ["power-scaling", "--model", "cavity",
+                                   "--g-alpha-over-omega", "2", "--s", "5"]],
+                         ids=["sweep", "fig2", "validate", "validate g-alpha 5",
+                              "power-scaling cavity s 5"])
 def test_outputs_get_the_mode_open_gives(argv, umask, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     previous = os.umask(umask)

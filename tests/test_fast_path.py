@@ -1,6 +1,6 @@
-"""The per-point fast path against its textbook form, bit for bit.
+"""The cavityless per-point fast path against its textbook form, bit for bit.
 
-The closed forms cache the constants of their immutable params (Theta, r, A,
+The closed forms cache the constants of their immutable params (Theta, A,
 A^2 and the two rows of them that Z_I reads), build states through lean
 bookkeeping (a cached permutation index) and evaluate each sine and cosine
 once; the functions below are the same expressions written out directly, with
@@ -8,15 +8,11 @@ no cache, the full 6x6 propagator and numpy's general indexing.  The
 arithmetic is the same, so the results must be equal, not close.
 
 Equal, not close, is what keeps the sweep, fig2 and power-scaling files
-byte-identical, and it is fragile: x**2 and x*x differ in the last bit for
-about 1 double in 1000, and the sum of rows 1 and 5 of M equals M.T @ z only
-because z holds zeros and ones.  The fixed grid at the default ratios below
-misses a c**2 -> c*c rewrite in the cavity minimum, so a derandomized
-hypothesis property also draws the ratios, (s, n_th) and a sweep grid over the
+byte-identical, and it is fragile: the sum of rows 1 and 5 of M equals
+M.T @ z only because z holds zeros and ones.  A derandomized hypothesis
+property also draws the ratios, (s, n_th) and a sweep grid over the
 benchmark's domain (perfbench/workloads.py) with n_th up to 1e3 and s in
-[-5, 5].  It is budgeted at about 0.6 s on a quiet 2-CPU host: 150
-examples, about 42 000 cavity and 5 000 cavityless points, enough to catch
-that rewrite.
+[-5, 5].
 """
 
 import numpy as np
@@ -25,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optoforce import analysis
-from optoforce import cavity as cv
 from optoforce import cavityless as cl
 
 S_VALUES = (0.0, 1.0, 5.0)
@@ -34,9 +29,6 @@ N_TH_VALUES = (0.0, 300.0)
 
 def scaled_times(model):
     return np.linspace(0.0, 2 * analysis.SCHEMES[model].T_STAR, 61)
-
-
-# --- cavityless -------------------------------------------------------------
 
 
 def textbook_theta(p):
@@ -99,71 +91,27 @@ def test_cached_drift_powers_are_read_only_and_not_the_oracles():
     assert gen_a.flags.writeable
 
 
-# --- cavity -----------------------------------------------------------------
-
-
-def textbook_minimize_noise_over_phi(q, t, s, n_th):
-    r, w = 2.0 * q.g_alpha / q.omega, q.omega
-    c = r**2 * (w * t - np.sin(w * t))
-    const = 0.25 * (1.0 + c**2) * np.cosh(2.0 * s)
-    a = 0.25 * (1.0 - c**2) * np.sinh(2.0 * s)
-    b = -0.5 * c * np.sinh(2.0 * s)
-    k2 = (r * np.sin(w * t)) ** 2 + (r * (1.0 - np.cos(w * t))) ** 2
-    noise_min = const - np.hypot(a, b) + 0.25 * k2 * (1.0 + 2.0 * n_th)
-    return float(0.5 * np.arctan2(-b, -a) % np.pi), float(noise_min)
-
-
-@pytest.mark.parametrize("s", S_VALUES)
-@pytest.mark.parametrize("n_th", N_TH_VALUES)
-def test_cavity_fast_path_equals_textbook_form(s, n_th):
-    q = cv.CavityParams.from_ratios(0.2)
-    assert q.r == 2.0 * q.g_alpha / q.omega
-    times = scaled_times("cavity") / q.omega
-    for t in [*times.tolist(), *times]:
-        assert cv.minimize_noise_over_phi(q, t, s, n_th) == textbook_minimize_noise_over_phi(
-            q, t, s, n_th)
-
-
-def test_cavity_minimum_keeps_the_sign_of_a_zero_squeezing():
-    # at s = -0.0 the sinh terms are -0.0, and atan2 of signed zeros puts the
-    # angle at 0 or pi/2: a per-s cache must not hand one zero the other's
-    q = cv.CavityParams.from_ratios(0.2)
-    times = scaled_times("cavity") / q.omega
-    for s in (0.0, -0.0, 0.0, -0.0):
-        for t in times.tolist():
-            assert cv.minimize_noise_over_phi(q, t, s, 0.0) == textbook_minimize_noise_over_phi(
-                q, t, s, 0.0)
-
-
-# --- both, over the benchmark's domain ----------------------------------------
+# --- over the benchmark's domain ---------------------------------------------
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(
     theta_over_chi=st.floats(1.01, 1.2),
     omega_over_theta=st.floats(6.0, 20.0),
-    g_alpha_over_omega=st.floats(0.05, 0.5),
     s=st.floats(-5.0, 5.0),
     n_th=st.floats(0.0, 1e3),
     t_stop_scaled=st.floats(0.0, 4 * np.pi, exclude_min=True),
     n_points=st.integers(2, 801),
 )
 def test_fast_path_equals_textbook_form_on_sweep_grids(
-    theta_over_chi, omega_over_theta, g_alpha_over_omega, s, n_th, t_stop_scaled, n_points
+    theta_over_chi, omega_over_theta, s, n_th, t_stop_scaled, n_points
 ):
     p = cl.CavitylessParams.from_ratios(theta_over_chi, omega_over_theta)
-    q = cv.CavityParams.from_ratios(g_alpha_over_omega)
     assert np.array_equal(cl.initial_state(s, n_th).cov, textbook_initial_cov(s, n_th))
-    # the grid run_sweep builds, as Python floats (the sweep loop), and at
-    # most 21 of its points as numpy floats too (the spot-checks and the
-    # ledger).  A last-bit change of c**2 reaches the cavity result at about 1
-    # point in 5000, so the cavity is checked at every grid point, the
-    # costlier cavityless noise at the 21
+    # at most 21 points of the grid run_sweep builds, as Python floats (the
+    # sweep loop) and as numpy floats (the spot-checks and the ledger)
     grid = np.linspace(0.0, t_stop_scaled, n_points)
     some = grid[:: -(-n_points // 21)]
     times_cl = some / textbook_theta(p)
     for t in [*times_cl.tolist(), *times_cl]:
         assert cl.noise(p, t, s, n_th) == textbook_noise(p, t, s, n_th)
-    for t in [*(grid / q.omega).tolist(), *(some / q.omega)]:
-        assert cv.minimize_noise_over_phi(q, t, s, n_th) == textbook_minimize_noise_over_phi(
-            q, t, s, n_th)
