@@ -117,13 +117,18 @@ def _deviation(a: float, b: float) -> float:
     return 0.0 if a == b else abs(a - b)
 
 
-def _rk4_steps(gen, omega: float, dt: float) -> int:
-    """RK4 steps over a time span dt, at least 1000.
+def _rk4_steps(gen, omega: float, dt: float) -> int | float:
+    """RK4 steps over a time span dt, at least 1000; inf if the drift is not
+    finite, which no step count integrates (and whose SVD would make LAPACK
+    print to stderr).
 
     Covariance entries reach ~e^{2s}(2 n_th + 1)/4; ||A|| h <= 0.01 keeps the
     O(h^4) error below the absolute tolerance, and Omega h <= 0.1 resolves the
     drive c(t) at the mirror frequency Omega too."""
-    norm = np.linalg.norm(gen(0.0)[0], 2)
+    drift = gen(0.0)[0]
+    if not np.isfinite(drift).all():
+        return np.inf
+    norm = np.linalg.norm(drift, 2)
     return max(1000, int(np.ceil(max(norm, omega / 10) * dt / 0.01)))
 
 
@@ -229,7 +234,7 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
         replace=False,
     ))
     _spot_check(spec.model, [p] * idx.size, times[idx], s, n_th, sig[idx], noi[idx],
-                ("t", times[idx]))
+                ("t_scaled", t_scaled[idx]))
     return SensitivityCurve(
         spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin
     )
@@ -279,9 +284,15 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     mult = np.asarray(sorted(spec.multipliers), dtype=float)
     scheme = SCHEMES[spec.model]
     base = scheme.params_from_ratios(spec.params)
+    params = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        params = [scheme.power_scaled(base, m) for m in mult]
+        for m in mult:
+            try:
+                params.append(scheme.power_scaled(base, m))
+            except ValueError as exc:  # a row whose params cannot be built is named
+                raise ValueError(f"{exc} at power_multiplier={m:.6g} "
+                                 f"(model={spec.model} s={spec.s})") from None
     in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
     times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
     row = ("power_multiplier", mult)
@@ -378,9 +389,6 @@ def validation_ledger(params: dict | None = None) -> dict:
     params = full_params(params)
     p = cavityless.params_from_ratios(params)
     q = cavity.params_from_ratios(params)
-    # the ledger's last cavity time: inputs that overflow the cavity closed
-    # forms stop here, before any RK4 entry is integrated
-    cavity.closed_propagator(q, 4 * np.pi / q.omega)
     Th, w = p.Theta, p.omega
     # both RK4 tracks are checked against the step budget before either runs
     t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th

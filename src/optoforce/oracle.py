@@ -7,8 +7,9 @@ Two deliberately separate code paths back every closed form in the package:
   the moments are read off it as m = M m0 + d and V = M V0 M^T, at one
   time or, with integrate_propagator_track, at every time of a sorted grid
   in one forward pass of composed segments,
-* truncated Fock-space moment computation for the thermal, two-mode
-  squeezed and single-mode squeezed initial states.
+* truncated Fock-space moments of the initial states, one function per
+  family: thermal_moments(n_bar), tmsv_moments(s) for the two-mode squeezed
+  vacuum and squeezed_moments(s, phi) for the single-mode squeezed vacuum.
 
 The RK4 stepper works in blocks of at most _BLOCK_STEPS steps.  Per block it
 samples the generator once, on the array of the block's stage times, forms
@@ -176,71 +177,25 @@ def integrate_propagator_track(
 
 
 # ---------------------------------------------------------------------------
-# Truncated Fock-space moments
+# Truncated Fock-space moments: one function per initial-state family, each
+# at a cutoff whose neglected tail weight is below _TAIL_TOL
 
 
-@dataclass(frozen=True)
-class FockSpec:
-    """Initial-state family for the Fock oracle.
-
-    family: 'thermal' (param = n_bar), 'tmsv' or 'squeezed' (param = s,
-    with optional angle phi for 'squeezed').  The cutoff is chosen so the
-    neglected tail weight is below _TAIL_TOL.
-    """
-
-    family: str
-    param: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if self.family not in ("thermal", "tmsv", "squeezed"):
-            raise ValueError(f"unknown family {self.family!r}")
-
-    def cutoff(self) -> int:
-        if self.family == "thermal":
-            n_bar = self.param
-            if n_bar < 0:
-                raise ValueError("n_bar must be nonnegative")
-            if n_bar == 0:
-                return 1
-            q = n_bar / (1.0 + n_bar)
-            n = int(np.ceil(np.log(_TAIL_TOL) / np.log(q))) + 1
-        elif self.family == "tmsv":
-            lam = abs(np.tanh(self.param))
-            if lam == 0:
-                return 1
-            n = int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(lam)))) + 1
-        else:  # squeezed: same geometric tail rate as tmsv, with margin
-            lam = abs(np.tanh(self.param))
-            if lam == 0:
-                return 4  # keep the tail check meaningful
-            n = 2 * (int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(lam)))) + 8)
-        if n > _MAX_CUTOFF:
-            raise ValueError(
-                f"cutoff {n} exceeds {_MAX_CUTOFF}: Fock oracle is validated for "
-                "|s| <= 1.5 and n_bar <= 5 only"
-            )
-        return n
-
-
-def _ladder(cut: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cut + 1)), k=1)
+def _within_max_cutoff(cut: int) -> int:
+    """cut, or ValueError if it exceeds _MAX_CUTOFF."""
+    if cut > _MAX_CUTOFF:
+        raise ValueError(
+            f"cutoff {cut} exceeds {_MAX_CUTOFF}: Fock oracle is validated for "
+            "|s| <= 1.5 and n_bar <= 5 only"
+        )
+    return cut
 
 
 def _quadratures(cut: int) -> tuple[np.ndarray, np.ndarray]:
-    a = _ladder(cut).astype(complex)
+    a = np.diag(np.sqrt(np.arange(1, cut + 1)), k=1).astype(complex)
     x = (a + a.T) / 2.0
     y = (a - a.T) / 2.0j
     return x, y
-
-
-def fock_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
-    """First and second quadrature moments by direct ladder-operator algebra."""
-    if spec.family == "thermal":
-        return _thermal_moments(spec)
-    if spec.family == "tmsv":
-        return _tmsv_moments(spec)
-    return _squeezed_moments(spec)
 
 
 def _sym_cov(ops: list[np.ndarray], weight) -> tuple[np.ndarray, np.ndarray]:
@@ -255,14 +210,16 @@ def _sym_cov(ops: list[np.ndarray], weight) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _thermal_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
-    cut = spec.cutoff()
-    n_bar = spec.param
+def thermal_moments(n_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature mean and covariance of the thermal state of mean occupation
+    n_bar, from its geometric Fock weights (1 - q) q^n, q = n_bar/(1 + n_bar)."""
+    if n_bar < 0:
+        raise ValueError("n_bar must be nonnegative")
     if n_bar == 0:
-        w = np.zeros(cut + 1)
-        w[0] = 1.0
+        cut, w = 1, np.array([1.0, 0.0])
     else:
         q = n_bar / (1.0 + n_bar)
+        cut = _within_max_cutoff(int(np.ceil(np.log(_TAIL_TOL) / np.log(q))) + 1)
         w = (1.0 - q) * q ** np.arange(cut + 1)
     x, y = _quadratures(cut)
 
@@ -272,14 +229,18 @@ def _thermal_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
     return _sym_cov([x, y], weight)
 
 
-def _tmsv_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of sqrt(1 - tanh^2 s) sum_n tanh^n(s) |n, n>.
+def tmsv_moments(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature moments of the two-mode squeezed vacuum
+    sqrt(1 - tanh^2 s) sum_n tanh^n(s) |n, n>, in the order (X1, Y1, X2, Y2).
 
     The state is diagonal in the pair index, so for a product operator
     O1 x O2 the expectation reduces to c^T (O1 * O2) c with * elementwise.
     """
-    cut = spec.cutoff()
-    lam = np.tanh(spec.param)
+    lam = np.tanh(s)
+    cut = 1
+    if lam != 0:
+        cut = _within_max_cutoff(
+            int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(abs(lam))))) + 1)
     c = lam ** np.arange(cut + 1)
     c *= np.sqrt(1.0 - lam**2)
     x, y = _quadratures(cut)
@@ -301,16 +262,22 @@ def _tmsv_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def _squeezed_moments(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of exp[zeta* a^2 - zeta a^dag^2]|0>, zeta = (s/2) e^{2i phi}, from
-    its closed Fock amplitudes psi_2n = (-e^{2i phi} tanh s)^n sqrt((2n)!)/(2^n n!)
-    / sqrt(cosh s); the neglected tail weight is 1 - ||psi||^2 exactly."""
-    cut = spec.cutoff()
+def squeezed_moments(s: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature moments of exp[zeta* a^2 - zeta a^dag^2]|0>, zeta = (s/2) e^{2i phi},
+    from its closed Fock amplitudes psi_2n = (-e^{2i phi} tanh s)^n sqrt((2n)!)/(2^n n!)
+    / sqrt(cosh s); the neglected tail weight is 1 - ||psi||^2 exactly.
+
+    The cutoff has the two-mode squeezed vacuum's geometric tail rate, with margin."""
+    lam = abs(np.tanh(s))
+    cut = 4  # at s = 0, keeps the tail check meaningful
+    if lam != 0:
+        cut = _within_max_cutoff(
+            2 * (int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(lam)))) + 8))
     n = np.arange(1, cut // 2 + 1)
     # psi_2n / psi_2n-2 = -e^{2i phi} tanh(s) sqrt((2n - 1)/(2n))
-    steps = -np.exp(2j * spec.phi) * np.tanh(spec.param) * np.sqrt((2 * n - 1) / (2 * n))
+    steps = -np.exp(2j * phi) * np.tanh(s) * np.sqrt((2 * n - 1) / (2 * n))
     psi = np.zeros(cut + 1, dtype=complex)
-    psi[::2] = np.cumprod(np.append(1.0, steps)) / np.sqrt(np.cosh(spec.param))
+    psi[::2] = np.cumprod(np.append(1.0, steps)) / np.sqrt(np.cosh(s))
     tail = 1.0 - np.vdot(psi, psi).real
     if tail > _TAIL_TOL:
         raise ValueError(

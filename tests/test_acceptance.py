@@ -128,16 +128,16 @@ def test_criterion_07_fock_oracle_state_validation():
     start = time.perf_counter()
     dev = 0.0
     for s in (0.3, 0.5, 1.0):
-        mean, cov = oracle.fock_moments(oracle.FockSpec("tmsv", s))
+        mean, cov = oracle.tmsv_moments(s)
         ref = gaussian.two_mode_squeezed(s)
         dev = max(dev, np.max(np.abs(mean - ref.mean)),
                   np.max(np.abs(cov - ref.cov)))
-        mean, cov = oracle.fock_moments(oracle.FockSpec("squeezed", s, 0.4))
+        mean, cov = oracle.squeezed_moments(s, 0.4)
         ref = gaussian.single_mode_squeezed(s, 0.4)
         dev = max(dev, np.max(np.abs(mean - ref.mean)),
                   np.max(np.abs(cov - ref.cov)))
     for n_bar in (0.2, 0.5, 2.0):
-        mean, cov = oracle.fock_moments(oracle.FockSpec("thermal", n_bar))
+        mean, cov = oracle.thermal_moments(n_bar)
         ref = gaussian.thermal_state(n_bar)
         dev = max(dev, np.max(np.abs(mean - ref.mean)),
                   np.max(np.abs(cov - ref.cov)))

@@ -88,7 +88,8 @@ def test_run_sweep_spot_check_catches_wrong_closed_form(model, monkeypatch):
     # looks it up at call time, and the RK4 spot check must abort the run
     monkeypatch.setattr(analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
     spec = analysis.SweepSpec(model, 0.0, np.pi, 11, 0.0, 0.0)
-    with pytest.raises(RuntimeError, match="spot-check"):
+    # the failed point is named by its t_scaled, the column the sweep writes
+    with pytest.raises(RuntimeError, match=rf"spot-check failed: model={model} t_scaled="):
         analysis.run_sweep(spec)
 
 
@@ -116,12 +117,15 @@ def test_spot_check_passes_across_the_cli_domain(
 
 def test_spot_check_fails_on_nan():
     p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
-    t = np.array([1.0 / p.Theta])
+    t_scaled = np.array([1.0])
+    t = t_scaled / p.Theta
     sig, noise = cl.readout(p, t[0], 0.0, 0.0)
-    analysis._spot_check("cavityless", [p], t, 0.0, 0.0, [sig], [noise], ("t", t))
+    row = ("t_scaled", t_scaled)
+    analysis._spot_check("cavityless", [p], t, 0.0, 0.0, [sig], [noise], row)
     for bad in ([np.nan], [noise]), ([sig], [np.nan]):
-        with pytest.raises(RuntimeError, match=r" t=\S+ s=0\.0 n_th=0\.0 deviation=nan"):
-            analysis._spot_check("cavityless", [p], t, 0.0, 0.0, *bad, ("t", t))
+        with pytest.raises(RuntimeError,
+                           match=r" t_scaled=1 s=0\.0 n_th=0\.0 deviation=nan"):
+            analysis._spot_check("cavityless", [p], t, 0.0, 0.0, *bad, row)
 
 
 @pytest.mark.filterwarnings("error")

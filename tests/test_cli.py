@@ -189,6 +189,13 @@ def test_bad_input_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, 
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
 
+# validate at g alpha/Omega = 1e200: the cavity drift is finite, but its track
+# would take ~1e203 RK4 steps
+BUDGET_1E200 = ("rk4 steps: the ledger's propagator track to t=12.5664 would take 2.58e+203 "
+                "RK4 steps, over the budget of 1e+07 (model=cavity "
+                "CavityParams(g_alpha=1e+200, omega=1.0)); the oracle cannot certify")
+
+
 # Inputs whose computation overflows or loses its precision, and an -o that
 # names an existing file where a directory is expected or lies under one.
 WRITES_NOTHING = [
@@ -205,7 +212,7 @@ WRITES_NOTHING = [
      "noise: not finite at t_scaled=0 "),
     (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
      "noise: not finite at t_scaled=0 "),
-    (["validate", "--g-alpha-over-omega", "1e200"], "the inputs overflow"),
+    (["validate", "--g-alpha-over-omega", "1e200"], BUDGET_1E200),
     (["sweep", "--theta-over-chi", "1e200"], "the inputs overflow"),
     (["sweep", "--omega-over-theta", "1e300"], "the inputs overflow"),
     (["fig2", "--omega-over-theta", "1e300"], "the inputs overflow"),
@@ -231,6 +238,10 @@ WRITES_NOTHING = [
     (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e153"],
      "noise: not finite at power_multiplier=0.01 "),
     (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
+    # g alpha = 1e308 sqrt(m) is inf from m = 3.98107 up: the params of that
+    # row cannot be built, and the row is named
+    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e308"],
+     "g_alpha must be finite at power_multiplier=3.98107 (model=cavity s=0.0)"),
 ]
 
 
@@ -259,17 +270,20 @@ def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-OVERFLOWING = [["--g-alpha-over-omega", "1e200"], ["--omega-over-theta", "1e300"]]
+OVERFLOWING = [(["--g-alpha-over-omega", "1e200"], BUDGET_1E200),
+               (["--omega-over-theta", "1e300"], "the inputs overflow")]
 
 
-@pytest.mark.parametrize("argv", OVERFLOWING, ids=[" ".join(a) for a in OVERFLOWING])
-def test_validate_overflow_stops_before_any_rk4_step(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, message", OVERFLOWING,
+                         ids=[" ".join(argv) for argv, _ in OVERFLOWING])
+def test_validate_overflow_stops_before_any_rk4_step(argv, message, tmp_path, monkeypatch,
+                                                     capsys):
     calls = []
     for name in ("integrate_propagator", "integrate_moments"):
         monkeypatch.setattr(cli.analysis.oracle, name,
                             lambda *args, name=name: calls.append(name))
     code, _, err = run_cli(["validate", *argv], tmp_path, monkeypatch, capsys)
-    assert code == 2 and "error: the inputs overflow" in err
+    assert code == 2 and f"error: {message}" in err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 
@@ -355,6 +369,12 @@ STDERR_CASES = [
      "error: rk4 steps: the spot-checks to t=6.28319 would take 2.29e+07 RK4 steps, "
      "over the budget of 1e+07 (model=cavity CavityParams(g_alpha=2000.0, omega=1.0)); "
      "the oracle cannot certify a time span this long at these parameters"),
+    # 2 g alpha is inf in the cavity drift: it is refused before its SVD, whose
+    # LAPACK routine would print to stderr, and the step budget names it
+    (["validate", "--g-alpha-over-omega", "1e308"], 2,
+     "error: rk4 steps: the ledger's propagator track to t=12.5664 would take inf RK4 "
+     "steps, over the budget of 1e+07 (model=cavity CavityParams(g_alpha=1e+308, "
+     "omega=1.0)); the oracle cannot certify"),
 ]
 
 
@@ -560,7 +580,8 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-FOCK_SPECS = [("thermal", 0.5), ("tmsv", 0.5), ("squeezed", 0.5, 0.4)]
+FOCK_CALLS = [("thermal_moments", (0.5,)), ("tmsv_moments", (0.5,)),
+              ("squeezed_moments", (0.5, 0.4))]
 
 
 def test_validate_and_the_fock_oracle_run_without_scipy(tmp_path, monkeypatch, capsys):
@@ -568,8 +589,8 @@ def test_validate_and_the_fock_oracle_run_without_scipy(tmp_path, monkeypatch, c
     # the Fock oracle's three families and validate give what they give here
     code = ("import sys; sys.modules['scipy'] = None\n"
             "from optoforce import cli, oracle\n"
-            f"for spec in {FOCK_SPECS!r}:\n"
-            "    print(oracle.fock_moments(oracle.FockSpec(*spec))[1].tolist())\n"
+            f"for name, args in {FOCK_CALLS!r}:\n"
+            "    print(getattr(oracle, name)(*args)[1].tolist())\n"
             "sys.exit(cli.main(['validate']))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env.pop(cli.OUTDIR_ENV, None)
@@ -582,8 +603,8 @@ def test_validate_and_the_fock_oracle_run_without_scipy(tmp_path, monkeypatch, c
     (tmp_path / "normal").mkdir()
     monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path / "normal")
-    moments = [f"{oracle.fock_moments(oracle.FockSpec(*spec))[1].tolist()}\n"
-               for spec in FOCK_SPECS]
+    moments = [f"{getattr(oracle, name)(*args)[1].tolist()}\n"
+               for name, args in FOCK_CALLS]
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "validate: healthy" in out

@@ -70,7 +70,7 @@ def test_two_mode_squeezed_reduced_combinations():
 @pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
 def test_two_mode_squeezed_matches_fock_oracle(s):
     st = g.two_mode_squeezed(s)
-    mean, cov = oracle.fock_moments(oracle.FockSpec("tmsv", s))
+    mean, cov = oracle.tmsv_moments(s)
     assert_allclose(mean, st.mean, atol=1e-10)
     assert_allclose(cov, st.cov, atol=1e-10)
 
@@ -86,7 +86,7 @@ def test_single_mode_squeezed_axes():
 def test_single_mode_squeezed_cross_term_sign():
     # sign of Cov(X, Y) at phi = pi/4 fixed by the Fock oracle
     st = g.single_mode_squeezed(1.0, np.pi / 4.0)
-    mean, cov = oracle.fock_moments(oracle.FockSpec("squeezed", 1.0, np.pi / 4.0))
+    mean, cov = oracle.squeezed_moments(1.0, np.pi / 4.0)
     assert_allclose(st.cov, cov, atol=1e-10)
     assert_allclose(st.cov[0, 1], -np.sinh(2.0) / 4.0)
 
@@ -105,7 +105,7 @@ def test_single_mode_squeezed_angle_rotates_the_quadratures():
 @pytest.mark.parametrize("s,phi", [(0.3, 0.0), (1.0, 0.7), (1.0, 2.5), (-1.0, 0.7)])
 def test_single_mode_squeezed_matches_fock_oracle(s, phi):
     st = g.single_mode_squeezed(s, phi)
-    mean, cov = oracle.fock_moments(oracle.FockSpec("squeezed", s, phi))
+    mean, cov = oracle.squeezed_moments(s, phi)
     assert_allclose(mean, st.mean, atol=1e-10)
     assert_allclose(cov, st.cov, atol=1e-10)
 

@@ -161,23 +161,20 @@ def test_propagator_keeps_precision_through_a_non_normal_transient():
 
 def test_fock_spec_validation():
     with pytest.raises(ValueError):
-        oracle.FockSpec("coherent", 1.0)
-    with pytest.raises(ValueError):
-        oracle.FockSpec("thermal", -1.0).cutoff()
+        oracle.thermal_moments(-1.0)
     with pytest.raises(ValueError, match="cutoff"):
-        oracle.FockSpec("thermal", 1e6).cutoff()
+        oracle.thermal_moments(1e6)
 
 
 def test_fock_vacuum_limits():
-    for family in ("thermal", "tmsv", "squeezed"):
-        spec = oracle.FockSpec(family, 0.0)
-        mean, cov = oracle.fock_moments(spec)
+    for moments in (oracle.thermal_moments, oracle.tmsv_moments, oracle.squeezed_moments):
+        mean, cov = moments(0.0)
         assert_allclose(mean, 0.0, atol=1e-14)
         assert_allclose(cov, 0.25 * np.eye(len(mean)), atol=1e-14)
 
 
 def test_fock_thermal():
-    mean, cov = oracle.fock_moments(oracle.FockSpec("thermal", 0.5))
+    mean, cov = oracle.thermal_moments(0.5)
     # Var(X) = (2 n_bar + 1)/4 = 1/2; frozen oracle value
     assert_allclose(cov[0, 0], 0.4999999999987542, rtol=1e-14)
     assert_allclose(cov, 0.5 * np.eye(2), atol=1e-11)
@@ -185,15 +182,15 @@ def test_fock_thermal():
 
 
 def test_fock_tmsv_negative_s_flips_correlations():
-    _, cp = oracle.fock_moments(oracle.FockSpec("tmsv", 0.5))
-    _, cm = oracle.fock_moments(oracle.FockSpec("tmsv", -0.5))
+    _, cp = oracle.tmsv_moments(0.5)
+    _, cm = oracle.tmsv_moments(-0.5)
     assert cp[0, 2] > 0 > cm[0, 2]
     assert_allclose(cp[0, 2], -cm[0, 2], atol=1e-11)
     assert_allclose(cp[1, 3], -cp[0, 2], atol=1e-11)
 
 
 def test_fock_tmsv_squeezed_combination():
-    _, cov = oracle.fock_moments(oracle.FockSpec("tmsv", 0.5))
+    _, cov = oracle.tmsv_moments(0.5)
     z = np.array([0.0, 1.0, 0.0, 1.0])
     # frozen oracle value; analytic e^{-2s}/2 = 0.18393972058572117
     assert_allclose(z @ cov @ z, 0.18393972058518704, rtol=1e-12)
@@ -201,7 +198,7 @@ def test_fock_tmsv_squeezed_combination():
 
 
 def test_fock_squeezed_axes_and_purity():
-    _, cov = oracle.fock_moments(oracle.FockSpec("squeezed", 1.0, 0.0))
+    _, cov = oracle.squeezed_moments(1.0, 0.0)
     assert_allclose(cov[0, 0], np.exp(-2.0) / 4.0, atol=1e-11)
     assert_allclose(cov[1, 1], np.exp(2.0) / 4.0, atol=1e-11)
     assert_allclose(np.linalg.det(cov), 1.0 / 16.0, atol=1e-11)
@@ -209,18 +206,20 @@ def test_fock_squeezed_axes_and_purity():
 
 def test_fock_squeezed_tail_guard():
     with pytest.raises(ValueError):
-        oracle.fock_moments(oracle.FockSpec("squeezed", 6.0))
+        oracle.squeezed_moments(6.0)
 
 
 @pytest.mark.parametrize("family,param", [("thermal", 2.0), ("tmsv", 1.0),
                                           ("squeezed", 1.0)])
 def test_fock_agrees_with_constructors(family, param):
-    mean, cov = oracle.fock_moments(oracle.FockSpec(family, param, phi=0.3))
     if family == "thermal":
+        mean, cov = oracle.thermal_moments(param)
         ref = g.thermal_state(param)
     elif family == "tmsv":
+        mean, cov = oracle.tmsv_moments(param)
         ref = g.two_mode_squeezed(param)
     else:
+        mean, cov = oracle.squeezed_moments(param, 0.3)
         ref = g.single_mode_squeezed(param, 0.3)
     assert_allclose(mean, ref.mean, atol=1e-10)
     assert_allclose(cov, ref.cov, atol=1e-10)
