@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from itertools import chain, repeat, starmap
 
@@ -12,7 +11,6 @@ import numpy as np
 from . import __version__, cavity, cavityless, oracle
 
 SPOT_CHECK_TOL = 1e-8
-SPOT_CHECKS_PER_CURVE = 5
 
 #: Most RK4 steps that one oracle certificate may take: the spot-checks of one
 #: sweep, or one propagator track of the validation ledger.  About 10 s at the
@@ -41,8 +39,9 @@ DEFAULT_PARAMS = {
 #: closed_propagator (for the ledger), power_scaled and in_regime.  Callers
 #: look them up on the module at call time, so that a wrapper or patch set on
 #: the module later is seen.  The oracle side of a spot-check takes only
-#: generator, meter_state and readout_observable from a scheme, never its
-#: closed forms.
+#: generator, meter_state and readout_observable from a scheme; of its closed
+#: forms it reads one, through cavity.meter_state: the angle of the closed
+#: phi-minimum, at which the cavity meter is squeezed.
 SCHEMES = {"cavityless": cavityless, "cavity": cavity}
 
 
@@ -142,43 +141,23 @@ def _check_step_budget(n_steps: int, check: str, model: str, p, t_final: float) 
         )
 
 
-def _spot_check(model: str, params, times, s: float, n_th: float, signal_per_f, noise,
-                row: tuple[str, np.ndarray]) -> None:
-    """The RK4 oracle's moments at a few times, each with its own params,
-    against the values computed there; aborts on disagreement, naming the row
-    by row = (column, the column's value at each check), and before any RK4
-    step if the checks together would exceed RK4_STEP_BUDGET."""
+def _certified_rows(model: str, params: list, times: list, s: float, n_th: float,
+                    row: tuple[str, np.ndarray], checked) -> tuple[np.ndarray, ...]:
+    """The (signal/f, noise, f_min, snr) columns of the rows, one scheme
+    readout per (params, time) pair, certified.  A signal or noise that is
+    not finite, or a negative noise, is a ValueError.  The rows at the
+    indices checked are compared with the RK4 oracle as one certificate: a
+    StepBudgetError before any RK4 step if it would exceed RK4_STEP_BUDGET,
+    a RuntimeError on disagreement.  Each error names its row by
+    row = (column, the column's values).  The columns are filled as they are
+    computed: no per-row tuple is kept."""
     scheme = SCHEMES[model]
-    obs = scheme.readout_observable().coeffs
-    gens = [lambda t, p=p: scheme.generator(p, t) for p in params]
-    steps = [_rk4_steps(gen, p.omega, t) for gen, p, t in zip(gens, params, times)]
-    # the error names the longest check (of equal ones, the latest)
-    i = max(range(len(steps)), key=lambda k: (steps[k], times[k]))
-    _check_step_budget(sum(steps), "the spot-checks", model, params[i], times[i])
-    for p, gen, t, key, n_steps, sig_cf, noise_cf in zip(params, gens, times, row[1], steps,
-                                                          signal_per_f, noise):
-        m0 = scheme.meter_state(p, t, s, n_th)
-        spec = oracle.OdeSpec(len(obs), gen, t, n_steps)
-        mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
-        sig_rk = float(obs @ mean)
-        noise_rk = float(obs @ cov @ obs)
-        # the RK4 truncation error scales with the largest covariance entry
-        # (~e^{2|s|}(2 n_th + 1)/4), which can dwarf the readout variance
-        # when the optimized angle squeezes the measured direction; compare
-        # relative to that scale
-        noise_scale = max(1.0, abs(noise_cf), float(np.max(np.abs(cov))))
-        dev = _max([abs(sig_rk - sig_cf), abs(noise_rk - noise_cf) / noise_scale])
-        if not dev <= SPOT_CHECK_TOL:
-            raise RuntimeError(
-                f"oracle spot-check failed: model={model} {row[0]}={key:.6g} s={s} "
-                f"n_th={n_th} deviation={dev:.3g} > {SPOT_CHECK_TOL}"
-            )
-
-
-def _f_min(model: str, row: tuple[str, np.ndarray], sig, noi, s: float, n_th: float):
-    """(f_min, snr) per unit f from the closed-form signal/f and noise of the
-    rows; raises ValueError naming the first value that is not finite or is a
-    negative variance, and its row by row = (column, the column's values)."""
+    # the checks below name every value that is not finite: numpy's warnings
+    # about them would only repeat it
+    with np.errstate(all="ignore"):
+        pairs = starmap(scheme.readout, zip(params, times, repeat(s), repeat(n_th)))
+        flat = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(times))
+    sig, noi = flat[0::2], flat[1::2]
     overflow = "the inputs overflow the closed forms"
     for name, bad, what, why in (
         ("signal_per_f", ~np.isfinite(sig), "not finite", overflow),
@@ -195,46 +174,51 @@ def _f_min(model: str, row: tuple[str, np.ndarray], sig, noi, s: float, n_th: fl
     with np.errstate(divide="ignore", invalid="ignore"):
         fmin = np.where(sig != 0.0, np.sqrt(noi) / np.abs(sig), np.inf)
         snr = np.where(np.isfinite(fmin), 1.0 / fmin, 0.0)
-    return fmin, snr
 
-
-def _readout_columns(model: str, params, times: list, s: float,
-                     n_th: float) -> tuple[np.ndarray, np.ndarray]:
-    """The (signal/f, noise) columns of the scheme's readout, one call per
-    row at the params and time of the row (params an iterable, times a list).
-
-    The columns are filled as they are computed: no per-row tuple is kept.
-    """
-    readout = SCHEMES[model].readout
-    # _f_min names every value that is not finite: numpy's warnings about
-    # them would only repeat it
-    with np.errstate(all="ignore"):
-        pairs = starmap(readout, zip(params, times, repeat(s), repeat(n_th)))
-        flat = np.fromiter(chain.from_iterable(pairs), float, count=2 * len(times))
-    return flat[0::2], flat[1::2]
+    obs = scheme.readout_observable().coeffs
+    gens = {i: lambda t, p=params[i]: scheme.generator(p, t) for i in checked}
+    steps = {i: _rk4_steps(gens[i], params[i].omega, times[i]) for i in checked}
+    # the error names the longest check (of equal ones, the latest)
+    i = max(checked, key=lambda k: (steps[k], times[k]))
+    _check_step_budget(sum(steps.values()), "the spot-checks", model, params[i], times[i])
+    for i in checked:
+        m0 = scheme.meter_state(params[i], times[i], s, n_th)
+        spec = oracle.OdeSpec(len(obs), gens[i], times[i], steps[i])
+        mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
+        sig_rk = float(obs @ mean)
+        noise_rk = float(obs @ cov @ obs)
+        # the RK4 truncation error scales with the largest covariance entry
+        # (~e^{2|s|}(2 n_th + 1)/4), which can dwarf the readout variance
+        # when the optimized angle squeezes the measured direction; compare
+        # relative to that scale
+        noise_scale = max(1.0, abs(noi[i]), float(np.max(np.abs(cov))))
+        dev = _max([abs(sig_rk - sig[i]), abs(noise_rk - noi[i]) / noise_scale])
+        if not dev <= SPOT_CHECK_TOL:
+            raise RuntimeError(
+                f"oracle spot-check failed: model={model} {row[0]}={row[1][i]:.6g} s={s} "
+                f"n_th={n_th} deviation={dev:.3g} > {SPOT_CHECK_TOL}"
+            )
+    return sig, noi, fmin, snr
 
 
 def run_sweep(spec: SweepSpec) -> SensitivityCurve:
-    """The curve of spec, oracle-spot-checked at a few grid points."""
+    """The curve of spec, oracle-spot-checked at the quarter points of its grid."""
     scheme = SCHEMES[spec.model]
     p = scheme.params_from_ratios(spec.params)
-    t_scaled = np.linspace(spec.t_start, spec.t_stop, spec.n_points)
+    n = spec.n_points
+    t_scaled = np.linspace(spec.t_start, spec.t_stop, n)
     times = t_scaled / scheme.time_unit(p)
     s, n_th = spec.s, spec.n_th
 
+    # rows round(k (n - 1)/4), k = 0..4, with row 0 moved to row 1: an odd
+    # grid checks its middle row (the disentangling time of a fig2 curve and
+    # of the default cavityless sweep) and every grid its last (the cavity's
+    # disentangling time on its default sweep)
+    checked = sorted({max(1, round(k * (n - 1) / 4)) for k in range(5)})
     # Python floats are the same IEEE doubles as the grid's, with cheaper
     # scalar arithmetic
-    row = ("t_scaled", t_scaled)
-    sig, noi = _readout_columns(spec.model, repeat(p), times.tolist(), s, n_th)
-    fmin, snr = _f_min(spec.model, row, sig, noi, s, n_th)
-    rng = np.random.default_rng(zlib.crc32(f"{spec.model}/{s}/{n_th}".encode()))
-    idx = np.sort(rng.choice(
-        np.arange(1, spec.n_points),
-        size=min(SPOT_CHECKS_PER_CURVE, spec.n_points - 1),
-        replace=False,
-    ))
-    _spot_check(spec.model, [p] * idx.size, times[idx], s, n_th, sig[idx], noi[idx],
-                ("t_scaled", t_scaled[idx]))
+    sig, noi, fmin, snr = _certified_rows(spec.model, [p] * n, times.tolist(), s, n_th,
+                                          ("t_scaled", t_scaled), checked)
     return SensitivityCurve(
         spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin
     )
@@ -278,8 +262,8 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     fixed mirror frequency, evaluated at Theta(m) t = pi; points with
     omega^2/Theta^2 < 10 are flagged out-of-regime but kept.  Cavity:
     g*alpha -> sqrt(m) (g*alpha)0 at Omega t = 2 pi.  Each row is a sweep row
-    at n_th = 0: readout, checked by _f_min, and the whole table spot-checked
-    against the RK4 oracle as one certificate.
+    at n_th = 0, and _certified_rows spot-checks the whole table against the
+    RK4 oracle as one certificate.
     """
     mult = np.asarray(sorted(spec.multipliers), dtype=float)
     scheme = SCHEMES[spec.model]
@@ -295,10 +279,8 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
                                  f"(model={spec.model} s={spec.s})") from None
     in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
     times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
-    row = ("power_multiplier", mult)
-    sig, noi = _readout_columns(spec.model, params, times, spec.s, 0.0)
-    fmin, _ = _f_min(spec.model, row, sig, noi, spec.s, 0.0)
-    _spot_check(spec.model, params, times, spec.s, 0.0, sig, noi, row)
+    _, _, fmin, _ = _certified_rows(spec.model, params, times, spec.s, 0.0,
+                                    ("power_multiplier", mult), range(len(params)))
 
     def slope(idx) -> float:
         x, y = np.log(mult[idx]), np.log(fmin[idx])
@@ -443,14 +425,14 @@ def validation_ledger(params: dict | None = None) -> dict:
     ))
 
     # --- f_min at Theta t = pi: cosine sign in the denominator; the engine
-    # value is a sweep row's, _f_min of readout.  At an odd Omega/Theta the
-    # signal and the adopted denominator both vanish: two infs agree.
+    # value is the last row of the two-point sweep that sql runs, at each s.
+    # At an odd Omega/Theta the signal and the adopted denominator both
+    # vanish: two infs agree.
     s_vals = (0.0, 1.0, 5.0)
-    row = ("t_scaled", np.array([cavityless.T_STAR]))
     dev_ad, dev_lit = [], []
     for s in s_vals:
-        sig, noi = cavityless.readout(p, cavityless.T_STAR / Th, s, 0.0)
-        (engine,), _ = _f_min("cavityless", row, np.array([sig]), np.array([noi]), s, 0.0)
+        spec = SweepSpec("cavityless", 0.0, cavityless.T_STAR, 2, s, 0.0, params)
+        engine = run_sweep(spec).f_min[-1]
         dev_ad.append(_deviation(engine, cavityless.f_min_at_pi_closed(p, s)))
         dev_lit.append(_deviation(engine, cavityless.f_min_at_pi_literal(p, s)))
     dev_ad, dev_lit = _max(dev_ad), _max(dev_lit)

@@ -18,6 +18,8 @@ measured variance.
 from __future__ import annotations
 
 import functools
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +45,17 @@ _EYE6.setflags(write=False)
 
 #: chi in from_ratios: the Stokes coupling sets the unit of time
 CHI = 1.0
+
+#: sqrt of the largest float: the squares of the closed forms stay finite below it
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _below_sqrt_max(ratio: str, value: float, name: str, coupling: float) -> None:
+    """Raise ValueError, naming the ratio and its value, if the coupling it sets
+    squares past the largest float."""
+    if not coupling < _SQRT_MAX:
+        raise ValueError(f"{ratio}: {value:.6g} gives {name} = {coupling:.6g}, whose square "
+                         f"overflows; theta and Omega must be below {_SQRT_MAX:.3g}")
 
 
 class DegenerateResonanceError(ValueError):
@@ -111,12 +124,16 @@ class CavitylessParams:
         """Build from the ratio-based parameterization with chi = CHI.
 
         omega_over_theta is Omega/Theta, with Theta = sqrt(theta^2 - chi^2).
+        A ratio that puts theta or Omega at or above _SQRT_MAX, where its
+        square overflows, is a ValueError that names it.
         """
         theta = theta_over_chi * CHI
-        # a Python float, as in the Theta property: Omega^2 then raises
-        # OverflowError instead of silently becoming inf
+        _below_sqrt_max("theta_over_chi", theta_over_chi, "theta", theta)
+        # a Python float, as in the Theta property
         Theta = float(np.sqrt(theta**2 - CHI**2))
-        return cls(chi=CHI, theta=theta, omega=omega_over_theta * Theta)
+        omega = omega_over_theta * Theta
+        _below_sqrt_max("omega_over_theta", omega_over_theta, "Omega", omega)
+        return cls(chi=CHI, theta=theta, omega=omega)
 
 
 def drift_matrix(params: CavitylessParams) -> np.ndarray:

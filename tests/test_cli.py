@@ -196,6 +196,14 @@ BUDGET_1E200 = ("rk4 steps: the ledger's propagator track to t=12.5664 would tak
                 "CavityParams(g_alpha=1e+200, omega=1.0)); the oracle cannot certify")
 
 
+# theta and Omega past sqrt(float max), whose squares overflow: the cavityless
+# params refuse them, naming the ratio (Omega = 1e300 Theta, Theta = 0.225)
+THETA_1E200 = ("theta_over_chi: 1e+200 gives theta = 1e+200, whose square overflows; "
+               "theta and Omega must be below 1.34e+154")
+OMEGA_1E300 = ("omega_over_theta: 1e+300 gives Omega = 2.25e+299, whose square overflows; "
+               "theta and Omega must be below 1.34e+154")
+
+
 # Inputs whose computation overflows or loses its precision, and an -o that
 # names an existing file where a directory is expected or lies under one.
 WRITES_NOTHING = [
@@ -213,12 +221,19 @@ WRITES_NOTHING = [
     (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
      "noise: not finite at t_scaled=0 "),
     (["validate", "--g-alpha-over-omega", "1e200"], BUDGET_1E200),
-    (["sweep", "--theta-over-chi", "1e200"], "the inputs overflow"),
-    (["sweep", "--omega-over-theta", "1e300"], "the inputs overflow"),
-    (["fig2", "--omega-over-theta", "1e300"], "the inputs overflow"),
-    (["sql", "--model", "cavityless", "--omega-over-theta", "1e300"], "the inputs overflow"),
-    (["power-scaling", "--model", "cavityless", "--omega-over-theta", "1e300"],
-     "the inputs overflow"),
+    (["sweep", "--theta-over-chi", "1e200"], THETA_1E200),
+    (["sweep", "--omega-over-theta", "1e300"], OMEGA_1E300),
+    (["fig2", "--omega-over-theta", "1e300"], OMEGA_1E300),
+    (["sql", "--model", "cavityless", "--omega-over-theta", "1e300"], OMEGA_1E300),
+    (["power-scaling", "--model", "cavityless", "--omega-over-theta", "1e300"], OMEGA_1E300),
+    (["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e307"],
+     "theta_over_chi: 1e+307 gives theta = 1e+307, whose square overflows; "
+     "theta and Omega must be below 1.34e+154"),
+    # theta and Omega are below the bound, but the power-scaled theta sqrt(m)
+    # squares past it from the row at m = 1.99526 up: Python's float square
+    # raises OverflowError, and the CLI reports the overflow
+    (["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e154",
+      "--omega-over-theta", "1.2"], "the inputs overflow the closed forms ("),
     (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"], "noise: not finite"),
     # 2 n_th + 1 overflows: the thermal covariance is inf, and in the cavity
     # 0 * inf is NaN at t = 0
@@ -271,7 +286,8 @@ def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):
 
 
 OVERFLOWING = [(["--g-alpha-over-omega", "1e200"], BUDGET_1E200),
-               (["--omega-over-theta", "1e300"], "the inputs overflow")]
+               (["--omega-over-theta", "1e300"], OMEGA_1E300),
+               (["--theta-over-chi", "1e200"], THETA_1E200)]
 
 
 @pytest.mark.parametrize("argv, message", OVERFLOWING,
@@ -578,6 +594,22 @@ def test_cli_import_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy imports numpy.random on first use only: the spot-checked rows are
+    # fixed grid indices, and no command draws a random number
+    code = ("import sys; from optoforce import cli\n"
+            "for argv in (['sweep', '--points', '5'], ['fig2', '--points', '5'], ['sql'],\n"
+            "             ['power-scaling'], ['validate']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env[cli.OUTDIR_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 FOCK_CALLS = [("thermal_moments", (0.5,)), ("tmsv_moments", (0.5,)),
