@@ -20,11 +20,6 @@ RK4_STEP_BUDGET = 10_000_000
 
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]
 
-# the sampling and the peak threshold of signal_dominant_frequencies
-SPECTRUM_CYCLES = 40.0
-SPECTRUM_SAMPLES = 8192
-SPECTRUM_PEAK_FRACTION = 0.1
-
 #: The ratios of both schemes' params; f is no input, every output is per unit f
 DEFAULT_PARAMS = {
     "theta_over_chi": 1.025,
@@ -298,29 +293,6 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
         "slope_small_power": slope(slice(0, k)),
         "slope_large_power": slope(slice(-k, None)),
     }
-
-
-def signal_dominant_frequencies(model: str, params: dict) -> np.ndarray:
-    """Dominant angular frequencies in the signal's oscillatory part.
-
-    Samples signal(t) over SPECTRUM_CYCLES half-periods of the slower
-    frequency, removes the linear trend, Hann-windows and FFTs; returns the
-    frequencies of local spectral maxima above SPECTRUM_PEAK_FRACTION of the
-    global maximum.  The cavityless signal beats at both Theta and Omega; the
-    cavity signal only at Omega.
-    """
-    scheme = SCHEMES[model]
-    p = scheme.params_from_ratios(full_params(params))
-    t_max = SPECTRUM_CYCLES * np.pi / scheme.time_unit(p)
-    t = np.linspace(0.0, t_max, SPECTRUM_SAMPLES)
-    y = scheme.signal(p, t)
-    y = y - np.polyval(np.polyfit(t, y, 1), t)
-    spectrum = np.abs(np.fft.rfft(y * np.hanning(SPECTRUM_SAMPLES)))
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(SPECTRUM_SAMPLES, d=t[1] - t[0])
-    peak = spectrum.max()
-    is_max = (spectrum[1:-1] > spectrum[:-2]) & (spectrum[1:-1] > spectrum[2:])
-    keep = is_max & (spectrum[1:-1] > SPECTRUM_PEAK_FRACTION * peak)
-    return freqs[1:-1][keep]
 
 
 # ---------------------------------------------------------------------------

@@ -103,21 +103,14 @@ class CavitylessParams:
 
     @functools.cached_property
     def _drift_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (1, A, A^2) of closed_propagator.  generator builds its
-        own A through drift_matrix: the oracle never reads this cache."""
+        """Read-only (1, A, A^2) of closed_propagator and noise.  generator
+        builds its own A through drift_matrix: the oracle never reads this
+        cache."""
         a = drift_matrix(self)
         a2 = a @ a
         a.setflags(write=False)
         a2.setflags(write=False)
         return _EYE6, a, a2
-
-    @functools.cached_property
-    def _z_i_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows 1 and 5 (Y1, Y2) of _drift_powers: the rows noise reads."""
-        powers = tuple(m[_Z_I_ROWS] for m in self._drift_powers)
-        for m in powers:
-            m.setflags(write=False)
-        return powers
 
     @classmethod
     def from_ratios(cls, theta_over_chi: float, omega_over_theta: float) -> "CavitylessParams":
@@ -169,11 +162,11 @@ def generator(params: CavitylessParams, t) -> tuple[np.ndarray, np.ndarray]:
     return drift_matrix(params), drive_vector(params, t)
 
 
-def _homogeneous(params: CavitylessParams, t: float, powers) -> tuple:
-    """(rows of M(t), sin(Theta t), cos(Theta t)) for powers = the same rows
-    of (1, A, A^2): M = 1 + A sin(Theta t)/Theta + A^2 (1 - cos(Theta t))/Theta^2,
+def _homogeneous(params: CavitylessParams, t: float) -> tuple:
+    """(M(t), sin(Theta t), cos(Theta t)), with
+    M = 1 + A sin(Theta t)/Theta + A^2 (1 - cos(Theta t))/Theta^2,
     which follows from A^3 = -Theta^2 A sector-wise."""
-    e, a, a2 = powers
+    e, a, a2 = params._drift_powers
     Th = params.Theta
     st, ct = np.sin(Th * t), np.cos(Th * t)
     return e + a * (st / Th) + a2 * ((1.0 - ct) / Th**2), st, ct
@@ -182,13 +175,13 @@ def _homogeneous(params: CavitylessParams, t: float, powers) -> tuple:
 def closed_propagator(params: CavitylessParams, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact propagator (M(t), d(t)) of the linear dynamics, d per unit force.
 
-    The homogeneous part M is _homogeneous on all six rows.
-    The force displacement is the exact harmonic-drive response (the
-    trigonometric form; the hyperbolic force term quoted for a1 in the
-    source solutions fails the dynamics oracle and is not used here).
+    The homogeneous part M is _homogeneous.  The force displacement is the
+    exact harmonic-drive response (the trigonometric form; the hyperbolic
+    force term quoted for a1 in the source solutions fails the dynamics
+    oracle and is not used here).
     """
     chi, th, w, Th = params.chi, params.theta, params.omega, params.Theta
-    mat, st, ct = _homogeneous(params, t, params._drift_powers)
+    mat, st, ct = _homogeneous(params, t)
 
     sw, cw = np.sin(w * t), np.cos(w * t)
     den = w**2 - Th**2
@@ -209,8 +202,8 @@ def z_i_observable() -> LinearObservable:
     return LinearObservable(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0]))
 
 
-#: Rows of M(t) whose sum is u = M(t)^T z for Z_I = Y1 + Y2: [1, 5]
-_Z_I_ROWS = np.flatnonzero(z_i_observable().coeffs)
+#: Coefficients z of Z_I, read by noise at every call
+_READOUT = z_i_observable().coeffs
 
 
 def initial_state(s: float, n_th: float) -> GaussianState:
@@ -234,14 +227,9 @@ def signal(params: CavitylessParams, t: float) -> float:
 
 
 def noise(params: CavitylessParams, t: float, s: float, n_th: float) -> float:
-    """Var(Z_I)(t) from covariance propagation of the initial state.
-
-    Z_I = Y1 + Y2 evolves into u = M(t)^T z, the sum of rows 1 and 5 of M(t):
-    the same doubles as M(t).T @ z, without the other four rows or the force
-    displacement.
-    """
-    rows, _, _ = _homogeneous(params, t, params._z_i_powers)
-    u = rows[0] + rows[1]
+    """Var(Z_I)(t) from covariance propagation of the initial state."""
+    mat, _, _ = _homogeneous(params, t)
+    u = mat.T @ _READOUT
     v0 = initial_state(s, n_th).cov
     return float(u @ v0 @ u)
 
@@ -323,9 +311,15 @@ def meter_state(params: CavitylessParams, t: float, s: float, n_th: float) -> Ga
 
 
 def power_scaled(params: CavitylessParams, multiplier: float) -> CavitylessParams:
-    """chi, theta -> sqrt(m) (chi, theta) at fixed theta/chi and mirror frequency."""
+    """chi, theta -> sqrt(m) (chi, theta) at fixed theta/chi and mirror frequency.
+
+    A theta sqrt(m) at or above _SQRT_MAX, where its square overflows, is a
+    ValueError that names theta/chi, theta sqrt(m) and the bound.
+    """
     scale = float(np.sqrt(multiplier))  # a Python float: the params repr shows no numpy type
-    return CavitylessParams(params.chi * scale, params.theta * scale, params.omega)
+    theta = params.theta * scale
+    _below_sqrt_max("theta_over_chi", params.theta / params.chi, "theta sqrt(m)", theta)
+    return CavitylessParams(params.chi * scale, theta, params.omega)
 
 
 def in_regime(params: CavitylessParams) -> bool:

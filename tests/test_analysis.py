@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from optoforce import analysis
 from optoforce import cavityless as cl
 
+import spectrum_helpers as sh
+
 
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
@@ -78,17 +80,6 @@ def test_run_sweep_columns_are_the_readout_of_each_point(model):
         sig, noi = np.array([scheme.readout(p, t, s, n_th) for t in times.tolist()]).T
         assert curve.signal_per_f.shape == curve.noise.shape == (401,)
         assert np.array_equal(curve.signal_per_f, sig) and np.array_equal(curve.noise, noi)
-
-
-@pytest.mark.parametrize("model", ["cavityless", "cavity"])
-def test_run_sweep_spot_check_catches_wrong_closed_form(model, monkeypatch):
-    # sabotage the closed-form signal on the module, after import: the sweep
-    # looks it up at call time, and the RK4 spot check must abort the run
-    monkeypatch.setattr(analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
-    spec = analysis.SweepSpec(model, 0.0, np.pi, 11, 0.0, 0.0)
-    # the failed point is named by its t_scaled, the column the sweep writes
-    with pytest.raises(RuntimeError, match=rf"spot-check failed: model={model} t_scaled="):
-        analysis.run_sweep(spec)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -217,6 +208,16 @@ def test_power_scaling_overflow_names_the_row_that_overflows():
     with pytest.raises(ValueError, match=r"^noise: not finite at power_multiplier=0.01 "
                        r"\(model=cavity s=0.0 n_th=0.0\); the inputs overflow"):
         analysis.power_scaling(spec)
+    # theta sqrt(m) reaches sqrt(float max), where its square overflows, from
+    # m = 1.99526 up: the params of that row cannot be built, and it is named
+    spec = analysis.PowerScalingSpec("cavityless", tuple(np.logspace(-2, 2, 41)),
+                                     {"theta_over_chi": 1e154, "omega_over_theta": 1.2})
+    with pytest.raises(ValueError, match=r"^theta_over_chi: 1e\+154 gives theta sqrt\(m\) = "
+                       r"1\.41254e\+154, whose square overflows; theta and Omega must be "
+                       r"below 1\.34e\+154 at power_multiplier=1\.99526 "
+                       r"\(model=cavityless s=0\.0\)$"), \
+            pytest.warns(UserWarning, match="validity regime"):
+        analysis.power_scaling(spec)
 
 
 def test_power_scaling_validation():
@@ -256,12 +257,12 @@ def test_power_scaling_at_unit_power_is_the_sweep_row(
 def test_signal_dominant_frequencies():
     params = analysis.DEFAULT_PARAMS
     p = cl.params_from_ratios(params)
-    freqs = analysis.signal_dominant_frequencies("cavityless", params)
+    freqs = sh.signal_dominant_frequencies("cavityless", params)
     assert len(freqs) == 2
     # the two beat frequencies, frozen: [0.22497, 2.31722] ~ (Theta, Omega)
     assert abs(freqs[0] - p.Theta) < 0.01
     assert abs(freqs[1] - p.omega) < 0.01
-    freqs_cv = analysis.signal_dominant_frequencies("cavity", params)
+    freqs_cv = sh.signal_dominant_frequencies("cavity", params)
     assert len(freqs_cv) == 1
     assert abs(freqs_cv[0] - 1.0) < 0.01
 

@@ -121,6 +121,10 @@ CONFIG_ERRORS = [
     ("sweep", "f = 2\n", "config line 1: unknown key 'f'"),
     ("fig2", "points = 41\ns = 2\n", "config line 2: fig2 does not take 's'"),
     ("validate", "model = cavity\n", "config line 1: validate does not take 'model'"),
+    # values argparse refuses as flags: from a config file, _validate refuses them
+    ("sweep", "format = xml\n", "format: unknown format 'xml'"),
+    ("sweep", "model = both\n", "model: 'both' not valid for sweep"),
+    ("sql", "model = both\n", "model: 'both' not valid for sql"),
 ]
 
 
@@ -230,10 +234,12 @@ WRITES_NOTHING = [
      "theta_over_chi: 1e+307 gives theta = 1e+307, whose square overflows; "
      "theta and Omega must be below 1.34e+154"),
     # theta and Omega are below the bound, but the power-scaled theta sqrt(m)
-    # squares past it from the row at m = 1.99526 up: Python's float square
-    # raises OverflowError, and the CLI reports the overflow
+    # reaches it from the row at m = 1.99526 up: that row is named
     (["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e154",
-      "--omega-over-theta", "1.2"], "the inputs overflow the closed forms ("),
+      "--omega-over-theta", "1.2"],
+     "theta_over_chi: 1e+154 gives theta sqrt(m) = 1.41254e+154, whose square overflows; "
+     "theta and Omega must be below 1.34e+154 at power_multiplier=1.99526 "
+     "(model=cavityless s=0.0)\n"),
     (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"], "noise: not finite"),
     # 2 n_th + 1 overflows: the thermal covariance is inf, and in the cavity
     # 0 * inf is NaN at t = 0
@@ -272,6 +278,17 @@ def test_bad_result_exits_2_writing_nothing(argv, message, tmp_path, monkeypatch
     assert "Traceback" not in err and "np.float64(" not in err
     assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
     assert existing.read_text() == "keep"
+
+
+def test_python_float_overflow_exits_2(tmp_path, monkeypatch, capsys):
+    # a Python float raises OverflowError where numpy gives inf (x**2,
+    # math.exp); no input reaches one today, and cli.main still names it
+    monkeypatch.setattr(cli.analysis.SCHEMES["cavity"], "readout",
+                        lambda p, t, s, n_th: (math.exp(1000.0), 0.0))
+    code, _, err = run_cli(["sql", "--model", "cavity"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err == "error: the inputs overflow the closed forms (math range error)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):
@@ -352,26 +369,29 @@ def test_step_budget_stops_before_any_rk4_step(argv, tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("model", ["cavityless", "cavity"])
-def test_sql_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch, capsys):
-    # sabotage the closed-form signal as in the sweep test: the RK4 spot
-    # check of the sql value must abort the run before anything is written
-    monkeypatch.setattr(cli.analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
-    code, _, err = run_cli(["sql", "--model", model], tmp_path, monkeypatch, capsys)
-    assert code == 1 and "error: oracle spot-check failed" in err
-    assert list(tmp_path.iterdir()) == []
+# Each command that writes a sweep row, and the column that names its rows
+SIGNAL_SABOTAGE = [
+    (["sweep", "--points", "11", "--tmax-scaled", "3.141592653589793"], "t_scaled"),
+    (["sql"], "t_scaled"),
+    (["power-scaling"], "power_multiplier"),
+]
 
 
 @pytest.mark.parametrize("model", ["cavityless", "cavity"])
-def test_power_scaling_spot_check_catches_wrong_closed_form(model, tmp_path, monkeypatch,
-                                                            capsys):
-    # the same sabotage: every row of the table is spot-checked, as sql is
+@pytest.mark.parametrize("argv, column", SIGNAL_SABOTAGE,
+                         ids=[argv[0] for argv, _ in SIGNAL_SABOTAGE])
+def test_spot_check_catches_a_constant_signal(argv, column, model, tmp_path, monkeypatch,
+                                              capsys):
+    # sabotage the closed-form signal on the module, after import: each command
+    # looks it up at call time, and the RK4 spot-check must stop the run before
+    # anything is written, naming the failed row by the column it writes
     monkeypatch.setattr(cli.analysis.SCHEMES[model], "signal", lambda p, t: 0.123)
-    code, _, err = run_cli(["power-scaling", "--model", model], tmp_path, monkeypatch,
-                           capsys)
-    assert code == 1 and "error: oracle spot-check failed" in err
-    # the failed row is named by its multiplier, the column the table writes
-    assert re.search(rf"model={model} power_multiplier=\S+ s=0\.0 ", err), err
+    code, _, err = run_cli([*argv, "--model", model], tmp_path, monkeypatch, capsys)
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1, err
+    assert re.match(rf"error: oracle spot-check failed: model={model} {column}=\S+ s=0\.0 ",
+                    errors[0]), err
     assert list(tmp_path.iterdir()) == []
 
 
