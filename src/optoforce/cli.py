@@ -24,7 +24,7 @@ import os
 import sys
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,20 +52,6 @@ _FORMATS = ("csv", "json")
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model: str | None
-    format: str
-    out: str | None
-    s: float
-    n_th: float
-    tmin_scaled: float
-    tmax_scaled: float
-    points: int
-    params: dict = field(default_factory=dict)
 
 
 def _coerce(key: str, raw: str):
@@ -127,8 +113,9 @@ def _validate(cfg: dict, command: str) -> None:
         raise ConfigError(f"model: {cfg['model']!r} not valid for {command}")
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    """Merge CLI flags over config file over defaults into a RunConfig."""
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Merge CLI flags over config file over defaults: every DEFAULTS key, the
+    command, and the scheme ratios again as ``params``."""
     ns = build_parser().parse_args(argv)
     cfg = dict(DEFAULTS)
     if ns.config is not None:
@@ -137,13 +124,11 @@ def parse_config(argv: list[str]) -> RunConfig:
                 cfg.update(parse_config_file(fh.read(), ns.command))
         except OSError as exc:
             raise ConfigError(f"config: cannot read {ns.config}: {exc}") from None
-    for key in DEFAULTS:
-        if getattr(ns, key, None) is not None:
-            cfg[key] = getattr(ns, key)
+    cfg.update((key, value) for key, value in vars(ns).items()
+               if key in DEFAULTS and value is not None)
     _validate(cfg, ns.command)
     params = {key: cfg[key] for key in analysis.DEFAULT_PARAMS}
-    named = {f.name: cfg[f.name] for f in fields(RunConfig) if f.name in cfg}
-    return RunConfig(command=ns.command, params=params, **named)
+    return argparse.Namespace(command=ns.command, params=params, **cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +259,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _check_parent(cfg: RunConfig, path: str) -> None:
+def _check_parent(cfg: argparse.Namespace, path: str) -> None:
     """Raise ConfigError if the nearest existing ancestor of path is a file."""
     parent = os.path.dirname(os.path.abspath(path))
     while not os.path.exists(parent):
@@ -283,16 +268,16 @@ def _check_parent(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"out: {parent} is a file; {cfg.command} cannot write under it")
 
 
-def _outdir(cfg: RunConfig) -> str:
+def _outdir(cfg: argparse.Namespace) -> str:
     """-o names the output directory of fig2 and power-scaling."""
-    path = cfg.out if cfg.out is not None else os.environ.get(OUTDIR_ENV, ".")
+    path = cfg.out or os.environ.get(OUTDIR_ENV, ".")
     if os.path.exists(path) and not os.path.isdir(path):
         raise ConfigError(f"out: {path} is a file; {cfg.command} writes into a directory")
     _check_parent(cfg, path)
     return path
 
 
-def _out_file(cfg: RunConfig, name: str) -> str:
+def _out_file(cfg: argparse.Namespace, name: str) -> str:
     """-o names the output file of sweep, sql and validate."""
     path = cfg.out or os.path.join(os.environ.get(OUTDIR_ENV, "."), name)
     if os.path.isdir(path):
@@ -320,7 +305,7 @@ def _curve_summary(curve: analysis.SensitivityCurve) -> str:
 # command implementations
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(cfg: argparse.Namespace) -> int:
     out = _out_file(cfg, f"sweep_{cfg.model}.{cfg.format}")
     spec = analysis.SweepSpec(
         cfg.model, cfg.tmin_scaled, cfg.tmax_scaled, cfg.points, cfg.s, cfg.n_th, cfg.params
@@ -331,7 +316,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_fig2(cfg: RunConfig) -> int:
+def _cmd_fig2(cfg: argparse.Namespace) -> int:
     models = list(analysis.SCHEMES) if cfg.model == "both" else [cfg.model]
     outdir = _outdir(cfg)
     curves = analysis.fig2_curves(cfg.params, cfg.points, models)
@@ -344,7 +329,7 @@ def _cmd_fig2(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_power_scaling(cfg: RunConfig) -> int:
+def _cmd_power_scaling(cfg: argparse.Namespace) -> int:
     models = list(analysis.SCHEMES) if cfg.model == "both" else [cfg.model]
     outdir = _outdir(cfg)
     multipliers = tuple(np.logspace(-2, 2, 41))
@@ -369,7 +354,7 @@ def _cmd_power_scaling(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
+def _cmd_validate(cfg: argparse.Namespace) -> int:
     out = _out_file(cfg, "validation_ledger.json")
     report = analysis.validation_ledger(cfg.params)
     _atomic_write(out, _json(report))
@@ -384,7 +369,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0 if report["healthy"] else 1
 
 
-def _cmd_sql(cfg: RunConfig) -> int:
+def _cmd_sql(cfg: argparse.Namespace) -> int:
     out = _out_file(cfg, f"sql_{cfg.model}.{cfg.format}")
     # the last row of a two-point sweep to the disentangling time, with vacuum
     # meter and zero-temperature probe: checked and spot-checked like any row
@@ -405,7 +390,7 @@ def _cmd_sql(cfg: RunConfig) -> int:
 class Command:
     """One CLI command: what runs it, its help line and the inputs it reads."""
 
-    handler: Callable[[RunConfig], int]
+    handler: Callable[[argparse.Namespace], int]
     help: str
     models: tuple[str, ...]  # the valid --model values; none: no --model, no --format
     model: str | None  # the default --model
