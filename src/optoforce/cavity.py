@@ -150,7 +150,7 @@ def initial_state(meter: MeterSqueezing, n_th: float) -> GaussianState:
 def signal(params: CavityParams, t: float) -> float:
     """Mean readout per unit f, (2ga/Omega)[Omega t - sin(Omega t)]; nondecreasing in t."""
     wt = params.omega * t
-    return params.r * (wt - np.sin(wt))
+    return params.r * (wt - math.sin(wt))
 
 
 def noise(params: CavityParams, t: float, meter: MeterSqueezing, n_th: float) -> float:

@@ -3,16 +3,17 @@
 Commands: sweep, fig2, power-scaling, validate, sql, each taking as flags and
 config keys only the inputs COMMANDS lists for it.  Precedence is CLI flag >
 config file (key=value lines, # comments) > documented default.  Outputs are
-per unit force (f = 1), CSV (default) or JSON, written atomically
-(temp file + rename); CSV floats carry 17 significant digits and JSON floats
-are the shortest round-trip ``repr``, so parsing reproduces them bit-exactly;
-non-finite values appear as lowercase "inf"/"nan", strings in JSON.  Every
-f_min the CLI writes (a sweep or fig2 row, the sql value, a power-scaling row)
-is a sweep row: computed by the scheme's readout, checked by the same finiteness
-test and RK4-spot-checked.  Exit codes: 0 success, 1 validation failure (an
-unhealthy ledger or a failed spot-check), 2 invalid input or a result outside
-its domain (overflow, negative variance, a time grid too large for memory or
-spot-checks too long for the RK4 oracle's step budget).
+per unit force (f = 1), CSV (default) or JSON, built once as ASCII bytes and
+written atomically (temp file + rename); config files are read as UTF-8.  CSV
+floats carry 17 significant digits and JSON floats are the shortest round-trip
+``repr``, so parsing reproduces them bit-exactly; non-finite values appear as
+lowercase "inf"/"nan", strings in JSON.  Every f_min the CLI writes (a sweep
+or fig2 row, the sql value, a power-scaling row) is a sweep row: computed by
+the scheme's readout, checked by the same finiteness test and RK4-spot-checked.
+Exit codes: 0 success, 1 validation failure (an unhealthy ledger or a failed
+spot-check), 2 invalid input or a result outside its domain (overflow, negative
+variance, a time grid too large for memory or spot-checks too long for the RK4
+oracle's step budget).
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
     cfg = dict(DEFAULTS)
     if ns.config is not None:
         try:
-            with open(ns.config) as fh:
+            with open(ns.config, encoding="utf-8") as fh:
                 cfg.update(parse_config_file(fh.read(), ns.command))
         except OSError as exc:
             raise ConfigError(f"config: cannot read {ns.config}: {exc}") from None
@@ -183,11 +184,10 @@ def _json(doc: dict) -> str:
 # can only be the top-level key
 _PLACEHOLDER = "\0"
 _RECORDS_SLOT = '\n  "records": ' + json.dumps(_PLACEHOLDER)
-# rows per piece of an emitted table, and characters per write of a file: the
-# text of a table is built and written in pieces of these sizes, so that only
-# the pieces and the joined text are ever held, not per-cell copies of it all
+# rows per piece of an emitted table: the cell texts of a table are made for
+# this many rows at a time, so that only the output and one piece's cells are
+# ever held, not per-cell copies of it all
 _CHUNK_ROWS = 2048
-_WRITE_CHARS = 1 << 20
 
 
 def _json_cells(array: np.ndarray) -> list[str]:
@@ -201,57 +201,60 @@ def _json_cells(array: np.ndarray) -> list[str]:
     return cells
 
 
-def _emit_table(columns: dict, fmt: str, doc: dict) -> str:
+def _emit_table(columns: dict, fmt: str, doc: dict) -> bytearray:
     """CSV under a header of the column names (bools as 0/1), or JSON as
-    ``doc`` plus one record per row under "records".
+    ``doc`` plus one record per row under "records", as ASCII bytes.
 
     The JSON is the text of ``json.dumps(..., indent=2, sort_keys=True)`` of
     per-row dicts, built column by column: one record template with the keys
-    in sorted order, filled from one list of cell texts per column.  Either
-    text is built from pieces of _CHUNK_ROWS rows and joined once.
+    in sorted order, filled from one list of cell texts per column.  The cells
+    are made in pieces of _CHUNK_ROWS rows; the output grows one row at a time.
     """
     names = list(columns)
     arrays = [np.asarray(column) for column in columns.values()]
     rows = min(map(len, arrays), default=0)
     chunks = range(0, rows, _CHUNK_ROWS)
+    # row by row: a piece-sized text allocated just above the output while it
+    # grows makes the output's reallocations copy it, which can double the
+    # process's peak memory; a row's text, a few hundred bytes, comes from
+    # Python's small-object allocator instead
     if fmt == "csv":
-        row = ",".join(["%.17g"] * len(names)) + "\n"
-        pieces = [",".join(names) + "\n"]
+        row = b",".join([b"%.17g"] * len(names)) + b"\n"
+        out = bytearray((",".join(names) + "\n").encode("ascii"))
         for start in chunks:
             values = [array[start:start + _CHUNK_ROWS].tolist() for array in arrays]
-            pieces.append("".join(map(row.__mod__, zip(*values))))
-        return "".join(pieces)
+            for cells in zip(*values):
+                out += row % cells
+        return out
     order = sorted(range(len(names)), key=names.__getitem__)
     record = "{" + ",".join(f"\n      {json.dumps(names[i])}: %s" for i in order) + "\n    }"
     head, _, tail = _json({**doc, "records": _PLACEHOLDER}).partition(_RECORDS_SLOT)
-    pieces = [head, '\n  "records": [']
+    out = bytearray((head + '\n  "records": [').encode("ascii"))
     for start in chunks:
         cells = [_json_cells(arrays[i][start:start + _CHUNK_ROWS]) for i in order]
-        pieces.append(",\n    " if start else "\n    ")
-        pieces.append(",\n    ".join(map(record.__mod__, zip(*cells))))
-    pieces += ["\n  ]" if rows else "]", tail]
-    return "".join(pieces)
+        for index, texts in enumerate(zip(*cells), start):
+            out += ((",\n    " if index else "\n    ") + record % texts).encode("ascii")
+    out += (("\n  ]" if rows else "]") + tail).encode("ascii")
+    return out
 
 
-def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> str:
+def emit_curve(curve: analysis.SensitivityCurve, fmt: str) -> bytearray:
     """Serialize one curve as CSV (fixed header) or JSON (records + metadata)."""
     columns = {name: getattr(curve, name) for name in CSV_HEADER.split(",")}
     return _emit_table(columns, fmt, {"metadata": curve.metadata})
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path through a new temp file and a rename, in slices of
-    _WRITE_CHARS, so that no encoded copy of the whole text is made.  The temp
-    file is created as open() creates a file (mode 0o666 less the umask), not
-    with mkstemp's 0o600."""
+def _atomic_write(path: str, data: bytes) -> None:
+    """Write data to path in one call, through a new temp file and a rename.
+    The temp file is created as open() creates a file (mode 0o666 less the
+    umask), not with mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            for start in range(0, len(text), _WRITE_CHARS):
-                fh.write(text[start:start + _WRITE_CHARS])
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -338,14 +341,14 @@ def _cmd_power_scaling(cfg: argparse.Namespace) -> int:
         for model in models
     ]
     for table in tables:
-        text = _emit_table(
+        data = _emit_table(
             {"power_multiplier": table["multipliers"], "f_min": table["f_min"],
              "in_regime": table["in_regime"]},
             cfg.format,
             {key: table[key] for key in ("model", "slope_small_power", "slope_large_power")},
         )
         path = os.path.join(outdir, f"power_{table['model']}.{cfg.format}")
-        _atomic_write(path, text)
+        _atomic_write(path, data)
         print(
             f"power-scaling {table['model']}: slopes "
             f"small={table['slope_small_power']:+.3f} "
@@ -357,7 +360,7 @@ def _cmd_power_scaling(cfg: argparse.Namespace) -> int:
 def _cmd_validate(cfg: argparse.Namespace) -> int:
     out = _out_file(cfg, "validation_ledger.json")
     report = analysis.validation_ledger(cfg.params)
-    _atomic_write(out, _json(report))
+    _atomic_write(out, _json(report).encode("ascii"))
     for entry in report["entries"]:
         status = "ok" if entry["pass"] else "FAIL"
         print(
@@ -381,7 +384,7 @@ def _cmd_sql(cfg: argparse.Namespace) -> int:
         text = f"model,t_scaled,f_min\n{cfg.model},{fmt17(t_scaled)},{fmt17(value)}\n"
     else:
         text = _json({"model": cfg.model, "t_scaled": t_scaled, "f_min": value})
-    _atomic_write(out, text)
+    _atomic_write(out, text.encode("ascii"))
     print(f"sql {cfg.model}: f_min={fmt17(value)} at t_scaled={fmt17(t_scaled)} -> {out}")
     return 0
 

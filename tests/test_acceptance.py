@@ -178,7 +178,7 @@ def test_criterion_09_figure_dataset(tmp_path, monkeypatch, capsys):
     for name in names:
         path = tmp_path / name
         assert path.exists(), f"missing {name}"
-        curves[name] = (path.read_text(), np.genfromtxt(path, delimiter=",", names=True))
+        curves[name] = (path.read_bytes(), np.genfromtxt(path, delimiter=",", names=True))
 
     # deterministic: an independent recomputation reproduces the bytes
     spec = analysis.SweepSpec(

@@ -542,10 +542,11 @@ def test_emit_table_matches_json_dumps_and_csv_rows(table):
         columns = {name: np.resize(column, rows) for name, column in EDGE_TABLE.items()}
         doc = EDGE_DOC
     # line lists with their ends are equal exactly when the texts are; a failure
-    # names the first differing line, where a diff of the texts takes minutes
-    text = cli._emit_table(columns, "json", doc)
+    # names the first differing line, where a diff of the texts takes minutes.
+    # The emitter gives bytes: decoding them as ASCII also checks they are ASCII
+    text = cli._emit_table(columns, "json", doc).decode("ascii")
     assert text.splitlines(True) == _reference_json(columns, doc).splitlines(True)
-    csv = cli._emit_table(columns, "csv", doc)
+    csv = cli._emit_table(columns, "csv", doc).decode("ascii")
     assert csv.splitlines(True) == _reference_csv(columns).splitlines(True)
     json.loads(text, parse_constant=lambda token: pytest.fail(f"not strict JSON: {token}"))
 
@@ -562,8 +563,10 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_export_holds_about_twice_its_text(tmp_path):
-    # a curve-sized table, 50k rows of floats from 1e-8 to 1e8: a ~10 MB JSON text
+def test_export_holds_its_text_once(tmp_path):
+    # a curve-sized table, 50k rows of floats from 1e-8 to 1e8: a ~10 MB JSON text.
+    # The emitter holds its output (a bytearray, which over-allocates as it
+    # grows) and one chunk's cells; the write makes no copy of what it writes
     rng = np.random.default_rng(0)
     rows = 50_000
     columns = {name: rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 9, rows)
@@ -571,11 +574,11 @@ def test_export_holds_about_twice_its_text(tmp_path):
     texts = {}
     for fmt in ("csv", "json"):
         texts[fmt], peak = _traced_peak(cli._emit_table, columns, fmt, {"metadata": {"s": 1.0}})
-        assert peak <= 2.5 * len(texts[fmt]), (fmt, peak / len(texts[fmt]))
+        assert peak <= 1.35 * len(texts[fmt]), (fmt, peak / len(texts[fmt]))
     assert len(texts["json"]) > 10_000_000
     _, peak = _traced_peak(cli._atomic_write, str(tmp_path / "table.json"), texts["json"])
-    assert peak <= 3_000_000
-    assert (tmp_path / "table.json").read_text() == texts["json"]
+    assert peak <= 64 * 1024
+    assert (tmp_path / "table.json").read_bytes() == texts["json"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask 022", "umask 077"])
@@ -619,17 +622,24 @@ def test_cli_import_loads_no_scipy():
 def test_no_command_loads_numpy_random(tmp_path):
     # numpy imports numpy.random on first use only: the spot-checked rows are
     # fixed grid indices, and no command draws a random number.  scipy is
-    # blocked: the package depends on numpy alone, and every command runs so
+    # blocked: the package depends on numpy alone, and every command runs so.
+    # An EncodingWarning is an error: no file, written or read (a config with
+    # a non-ASCII comment), goes through the locale's encoding
+    config = tmp_path / "run.cfg"
+    config.write_text("# \u03a9t grid, \u00e9t\u00e9\npoints = 5\n", encoding="utf-8")
     code = ("import sys; sys.modules['scipy'] = None\n"
             "from optoforce import cli\n"
-            "for argv in (['sweep', '--points', '5'], ['fig2', '--points', '5'], ['sql'],\n"
-            "             ['power-scaling'], ['validate']):\n"
+            "for argv in (['sweep', '--points', '5'], ['sweep', '--points', '5',\n"
+            "             '--format', 'json'], ['fig2', '--points', '5'], ['sql'],\n"
+            "             ['power-scaling'], ['validate'],\n"
+            f"             ['--config', {str(config)!r}, 'sweep']):\n"
             "    assert cli.main(argv) == 0, argv\n"
             "print('numpy.random' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env[cli.OUTDIR_ENV] = str(tmp_path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
