@@ -179,11 +179,6 @@ def _json(doc: dict) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# _emit_table writes this under "records" and puts the records text in place
-# of its _RECORDS_SLOT text; at two spaces of indent after a newline, the slot
-# can only be the top-level key
-_PLACEHOLDER = "\0"
-_RECORDS_SLOT = '\n  "records": ' + json.dumps(_PLACEHOLDER)
 # rows per piece of an emitted table: the cell texts of a table are made for
 # this many rows at a time, so that only the output and one piece's cells are
 # ever held, not per-cell copies of it all
@@ -228,7 +223,8 @@ def _emit_table(columns: dict, fmt: str, doc: dict) -> bytearray:
         return out
     order = sorted(range(len(names)), key=names.__getitem__)
     record = "{" + ",".join(f"\n      {json.dumps(names[i])}: %s" for i in order) + "\n    }"
-    head, _, tail = _json({**doc, "records": _PLACEHOLDER}).partition(_RECORDS_SLOT)
+    # at two spaces of indent after a newline, this can only be the top-level key
+    head, _, tail = _json({**doc, "records": []}).partition('\n  "records": []')
     out = bytearray((head + '\n  "records": [').encode("ascii"))
     for start in chunks:
         cells = [_json_cells(arrays[i][start:start + _CHUNK_ROWS]) for i in order]
@@ -289,10 +285,6 @@ def _out_file(cfg: argparse.Namespace, name: str) -> str:
     return path
 
 
-def _num_tag(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else str(x)
-
-
 def _curve_summary(curve: analysis.SensitivityCurve) -> str:
     finite = np.isfinite(curve.f_min) & (curve.t_scaled > 0)
     if not np.any(finite):
@@ -324,7 +316,7 @@ def _cmd_fig2(cfg: argparse.Namespace) -> int:
     outdir = _outdir(cfg)
     curves = analysis.fig2_curves(cfg.params, cfg.points, models)
     for c in curves:
-        s, n_th = _num_tag(c.s), _num_tag(c.n_th)
+        s, n_th = f"{c.s:g}", f"{c.n_th:g}"
         path = os.path.join(outdir, f"{c.model}_{s}_{n_th}.{cfg.format}")
         _atomic_write(path, emit_curve(c, cfg.format))
         print(f"fig2 {c.model} s={s} n_th={n_th}: {_curve_summary(c)} -> {path}")

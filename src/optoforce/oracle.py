@@ -10,6 +10,8 @@ Two deliberately separate code paths back every closed form in the package:
 * truncated Fock-space moments of the initial states, one function per
   family: thermal_moments(n_bar), tmsv_moments(s) for the two-mode squeezed
   vacuum and squeezed_moments(s, phi) for the single-mode squeezed vacuum.
+  Each reads <a>, <a^2>, <a^dag a> and <1> (and <a1 a2>) off the state's
+  number-basis amplitudes as sums over n; no truncated operator is formed.
 
 The RK4 stepper works in blocks of at most _BLOCK_STEPS steps.  Per block it
 samples the generator once, on the array of the block's stage times, forms
@@ -191,28 +193,24 @@ def _within_max_cutoff(cut: int) -> int:
     return cut
 
 
-def _quadratures(cut: int) -> tuple[np.ndarray, np.ndarray]:
-    a = np.diag(np.sqrt(np.arange(1, cut + 1)), k=1).astype(complex)
-    x = (a + a.T) / 2.0
-    y = (a - a.T) / 2.0j
-    return x, y
+def _quadrature_moments(a, a2, n: float, one: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) mean and symmetrized covariance of one mode from <a>, <a^2>,
+    <a^dag a> and <1> of its truncated state.
 
-
-def _sym_cov(ops: list[np.ndarray], weight) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and symmetrized covariance of operators under weight(op) = <op>."""
-    k = len(ops)
-    mean = np.array([weight(op) for op in ops])
-    cov = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            sym = 0.5 * (ops[i] @ ops[j] + ops[j] @ ops[i])
-            cov[i, j] = cov[j, i] = weight(sym) - mean[i] * mean[j]
-    return mean, cov
+    With X = (a + a^dag)/2 and Y = (a - a^dag)/2i, X^2 and Y^2 are
+    (2 a^dag a + 1 +- (a^2 + a^dag^2))/4 and (XY + YX)/2 = (a^2 - a^dag^2)/4i;
+    a a^dag = a^dag a + 1 is read with the truncated state's own norm <1>."""
+    mean = np.array([a.real, a.imag])
+    diag = 2.0 * n + one
+    cov = 0.25 * np.array([[diag + 2.0 * a2.real, 2.0 * a2.imag],
+                           [2.0 * a2.imag, diag - 2.0 * a2.real]])
+    return mean, cov - np.outer(mean, mean)
 
 
 def thermal_moments(n_bar: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature mean and covariance of the thermal state of mean occupation
-    n_bar, from its geometric Fock weights (1 - q) q^n, q = n_bar/(1 + n_bar)."""
+    n_bar, from its geometric Fock weights w_n = (1 - q) q^n, q = n_bar/(1 + n_bar):
+    the state is diagonal, so <a> = <a^2> = 0 and <a^dag a> = sum n w_n."""
     if n_bar < 0:
         raise ValueError("n_bar must be nonnegative")
     if n_bar == 0:
@@ -221,20 +219,16 @@ def thermal_moments(n_bar: float) -> tuple[np.ndarray, np.ndarray]:
         q = n_bar / (1.0 + n_bar)
         cut = _within_max_cutoff(int(np.ceil(np.log(_TAIL_TOL) / np.log(q))) + 1)
         w = (1.0 - q) * q ** np.arange(cut + 1)
-    x, y = _quadratures(cut)
-
-    def weight(op: np.ndarray) -> float:
-        return float(np.real(np.sum(w * np.diagonal(op))))
-
-    return _sym_cov([x, y], weight)
+    return _quadrature_moments(0.0, 0.0, np.arange(cut + 1) @ w, w.sum())
 
 
 def tmsv_moments(s: float) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature moments of the two-mode squeezed vacuum
-    sqrt(1 - tanh^2 s) sum_n tanh^n(s) |n, n>, in the order (X1, Y1, X2, Y2).
+    sum_n c_n |n, n>, c_n = sqrt(1 - tanh^2 s) tanh^n(s), in the order (X1, Y1, X2, Y2).
 
-    The state is diagonal in the pair index, so for a product operator
-    O1 x O2 the expectation reduces to c^T (O1 * O2) c with * elementwise.
+    The state is diagonal in the pair index, so each mode's marginal is
+    thermal with <a^dag a> = sum n c_n^2, and the one correlation is
+    <a1 a2> = sum n c_{n-1} c_n: Cov(X1, X2) = -Cov(Y1, Y2) = <a1 a2>/2.
     """
     lam = np.tanh(s)
     cut = 1
@@ -243,23 +237,13 @@ def tmsv_moments(s: float) -> tuple[np.ndarray, np.ndarray]:
             int(np.ceil(np.log(_TAIL_TOL) / (2.0 * np.log(abs(lam))))) + 1)
     c = lam ** np.arange(cut + 1)
     c *= np.sqrt(1.0 - lam**2)
-    x, y = _quadratures(cut)
-    eye = np.eye(cut + 1, dtype=complex)
-    # quadratures as (mode-1 factor, mode-2 factor) pairs
-    ops = [(x, eye), (y, eye), (eye, x), (eye, y)]
-
-    def expect(o1: np.ndarray, o2: np.ndarray) -> float:
-        return float(np.real(c @ (o1 * o2) @ c))
-
-    mean = np.array([expect(o1, o2) for o1, o2 in ops])
-    cov = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            a1, a2 = ops[i]
-            b1, b2 = ops[j]
-            sym = 0.5 * (expect(a1 @ b1, a2 @ b2) + expect(b1 @ a1, b2 @ a2))
-            cov[i, j] = cov[j, i] = sym - mean[i] * mean[j]
-    return mean, cov
+    n = np.arange(cut + 1)
+    _, marginal = _quadrature_moments(0.0, 0.0, n @ c**2, c @ c)
+    corr = n[1:] @ (c[:-1] * c[1:])  # <a1 a2>
+    cov = np.kron(np.eye(2), marginal)
+    cov[0, 2] = cov[2, 0] = corr / 2.0
+    cov[1, 3] = cov[3, 1] = -corr / 2.0
+    return np.zeros(4), cov
 
 
 def squeezed_moments(s: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +251,9 @@ def squeezed_moments(s: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray
     from its closed Fock amplitudes psi_2n = (-e^{2i phi} tanh s)^n sqrt((2n)!)/(2^n n!)
     / sqrt(cosh s); the neglected tail weight is 1 - ||psi||^2 exactly.
 
-    The cutoff has the two-mode squeezed vacuum's geometric tail rate, with margin."""
+    Only even states occur, so <a> = 0, and <a^2> and <a^dag a> are the sums
+    over n of sqrt(2n (2n - 1)) psi*_2n-2 psi_2n and 2n |psi_2n|^2.  The cutoff
+    has the two-mode squeezed vacuum's geometric tail rate, with margin."""
     lam = abs(np.tanh(s))
     cut = 4  # at s = 0, keeps the tail check meaningful
     if lam != 0:
@@ -276,17 +262,13 @@ def squeezed_moments(s: float, phi: float = 0.0) -> tuple[np.ndarray, np.ndarray
     n = np.arange(1, cut // 2 + 1)
     # psi_2n / psi_2n-2 = -e^{2i phi} tanh(s) sqrt((2n - 1)/(2n))
     steps = -np.exp(2j * phi) * np.tanh(s) * np.sqrt((2 * n - 1) / (2 * n))
-    psi = np.zeros(cut + 1, dtype=complex)
-    psi[::2] = np.cumprod(np.append(1.0, steps)) / np.sqrt(np.cosh(s))
-    tail = 1.0 - np.vdot(psi, psi).real
+    psi = np.cumprod(np.append(1.0, steps)) / np.sqrt(np.cosh(s))  # psi_2n, n = 0 .. cut/2
+    norm = np.vdot(psi, psi).real
+    tail = 1.0 - norm
     if tail > _TAIL_TOL:
         raise ValueError(
             f"truncation tail {tail:.3g} exceeds {_TAIL_TOL}; "
             "squeezed oracle validated for |s| <= 1.5"
         )
-    x, y = _quadratures(cut)
-
-    def weight(op: np.ndarray) -> float:
-        return float(np.real(np.conj(psi) @ op @ psi))
-
-    return _sym_cov([x, y], weight)
+    a2 = np.vdot(psi[:-1], np.sqrt(2 * n * (2 * n - 1)) * psi[1:])
+    return _quadrature_moments(0j, a2, 2 * n @ abs(psi[1:]) ** 2, norm)

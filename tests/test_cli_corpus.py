@@ -63,6 +63,8 @@ CORPUS = [
     ["sql", "--format", "json", "--theta-over-chi", "1.2"],
     # a regime warning
     ["sweep", "--omega-over-theta", "2", "--points", "5"],
+    # no coupling, no signal: a curve with no finite f_min
+    ["sweep", "--model", "cavity", "--g-alpha-over-omega", "0", "--points", "3"],
     # refusals, which write nothing
     ["sweep", "--points", "1"],
     ["sweep", "--n-th", "nan"],

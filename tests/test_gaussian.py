@@ -129,6 +129,8 @@ def test_reorder_modes():
     assert_allclose(swapped.cov[2:4, 2:4], g.thermal_state(2.0).cov)
     assert_allclose(swapped.cov[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])],
                     g.two_mode_squeezed(1.0).cov)
+    with pytest.raises(ValueError, match="order must be a permutation"):
+        g.reorder_modes(g.two_mode_squeezed(1.0), [0, 0])
 
 
 def test_expectation_and_variance():
@@ -176,6 +178,10 @@ def test_state_validation():
     assert g.GaussianState(np.zeros(4), 0.25 * np.eye(4)).n_modes == 2
     with pytest.raises(ValueError):
         g.LinearObservable(np.zeros(4))
+    with pytest.raises(ValueError, match="s must be finite"):
+        g.two_mode_squeezed(np.nan)
+    with pytest.raises(ValueError, match="s and phi must be finite"):
+        g.single_mode_squeezed(np.inf, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

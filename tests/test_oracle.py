@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -176,7 +178,7 @@ def test_fock_vacuum_limits():
 def test_fock_thermal():
     mean, cov = oracle.thermal_moments(0.5)
     # Var(X) = (2 n_bar + 1)/4 = 1/2; frozen oracle value
-    assert_allclose(cov[0, 0], 0.4999999999987542, rtol=1e-14)
+    assert_allclose(cov[0, 0], 0.4999999999993662, rtol=1e-14)
     assert_allclose(cov, 0.5 * np.eye(2), atol=1e-11)
     assert_allclose(mean, 0.0, atol=1e-14)
 
@@ -193,7 +195,7 @@ def test_fock_tmsv_squeezed_combination():
     _, cov = oracle.tmsv_moments(0.5)
     z = np.array([0.0, 1.0, 0.0, 1.0])
     # frozen oracle value; analytic e^{-2s}/2 = 0.18393972058572117
-    assert_allclose(z @ cov @ z, 0.18393972058518704, rtol=1e-12)
+    assert_allclose(z @ cov @ z, 0.1839397205866199, rtol=1e-12)
     assert abs(z @ cov @ z - np.exp(-1.0) / 2.0) < 1e-10
 
 
@@ -207,6 +209,31 @@ def test_fock_squeezed_axes_and_purity():
 def test_fock_squeezed_tail_guard():
     with pytest.raises(ValueError):
         oracle.squeezed_moments(6.0)
+
+
+def test_fock_oracle_never_reads_the_gaussian_constructors(monkeypatch):
+    # the north star: an oracle shares no code with the closed forms it
+    # certifies, so every constructor it checks refuses to run here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Fock oracle reached optoforce.gaussian")
+
+    for name in ("thermal_state", "two_mode_squeezed", "single_mode_squeezed"):
+        monkeypatch.setattr(g, name, refuse)
+    monkeypatch.setattr(g.GaussianState, "__post_init__", refuse)
+    oracle.thermal_moments(2.0)
+    oracle.tmsv_moments(-1.0)
+    oracle.squeezed_moments(1.0, 0.3)
+
+    def home(value):
+        """The module a global is, or the module it was defined in."""
+        if isinstance(value, types.ModuleType):
+            return value.__name__
+        return getattr(value, "__module__", None) or ""
+
+    # no optoforce module, nor a name imported from one, among its globals
+    borrowed = [name for name, value in vars(oracle).items()
+                if home(value).startswith("optoforce") and home(value) != oracle.__name__]
+    assert borrowed == []
 
 
 @pytest.mark.parametrize("family,param", [("thermal", 2.0), ("tmsv", 1.0),

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from optoforce import analysis, cli
+from optoforce import analysis, cavity, cli
 
 
 def _row_time(model, index, points=401, t_stop=2 * math.pi):
@@ -48,16 +48,21 @@ def _phi_min(factor, at=None):
     return make
 
 
-def _signal_flipped(at):
-    """The signal with its sign flipped at the time at."""
+def _signal(factor, at):
+    """The signal times factor at the time at."""
     def make(signal):
-        return lambda p, t: -signal(p, t) if _at(at, t) else signal(p, t)
+        return lambda p, t: signal(p, t) * (factor if _at(at, t) else 1.0)
     return make
 
 
 def _meter_flipped(initial_state):
     """The cavityless meter as two_mode_squeezed(+s): the correlation sign flipped."""
     return lambda s, n_th: initial_state(-s, n_th)
+
+
+def _meter_reflected(initial_state):
+    """The cavity meter with its squeezing angle reflected, phi -> -phi."""
+    return lambda meter, n_th: initial_state(cavity.MeterSqueezing(meter.s, -meter.phi), n_th)
 
 
 def _no_mirror(mirror_term):
@@ -71,6 +76,10 @@ def _gap(reason):
 
 ROW = 150  # between the quarter points 100 and 200 of a 401-point grid
 FOUR_PI = repr(4 * math.pi)
+#: the published (1 - cos) denominator of f_min at Theta t = pi over the
+#: oracle-confirmed (1 + cos), at the default Omega/Theta
+COS_PI = math.cos(math.pi * analysis.DEFAULT_PARAMS["omega_over_theta"])
+LITERAL_OVER_CLOSED = (1 - COS_PI) / (1 + COS_PI)
 NOISE = {"cavityless": ("noise", _noise), "cavity": ("minimize_noise_over_phi", _phi_min)}
 
 # (command line, model, the name patched on its scheme module, the planted
@@ -83,6 +92,15 @@ CATALOGUE = [
                  "cavity", "_mirror_term", _no_mirror, id="cavity mirror term dropped"),
     pytest.param(["validate"], "cavityless", "initial_state", _meter_flipped,
                  id="validate cavityless meter sign"),
+    pytest.param(["fig2", "--model", "cavity"], "cavity", "initial_state", _meter_reflected,
+                 id="fig2 cavity meter angle reflected"),
+    pytest.param(["validate"], "cavity", "initial_state", _meter_reflected,
+                 id="validate cavity meter angle reflected"),
+    # the sql row's signal scaled so that its f_min is f_min_at_pi_literal's
+    pytest.param(["sql"], "cavityless", "signal",
+                 _signal(LITERAL_OVER_CLOSED, _row_time("cavityless", 1, points=2,
+                                                        t_stop=math.pi)),
+                 id="sql cavityless literal (1 - cos) denominator"),
     pytest.param(["sweep", "--model", "cavityless", "--n-th", "300", "--points", "401"],
                  "cavityless", "noise", _noise(1 + 1e-6), id="cavityless noise x(1+1e-6)",
                  marks=_gap("ROADMAP item 1: the largest deviation is 3.3e-9, below the "
@@ -92,7 +110,7 @@ CATALOGUE = [
                    marks=_gap("ROADMAP item 6: only the quarter-point rows are checked"))
       for model, (name, plant) in NOISE.items()],
     *[pytest.param(["sweep", "--model", model, "--points", "401"], model, "signal",
-                   _signal_flipped(_row_time(model, ROW)),
+                   _signal(-1.0, _row_time(model, ROW)),
                    id=f"{model} signal sign at row {ROW}",
                    marks=_gap("ROADMAP item 6: only the quarter-point rows are checked"))
       for model in analysis.SCHEMES],
