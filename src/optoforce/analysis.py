@@ -12,10 +12,12 @@ from . import __version__, cavity, cavityless, oracle
 
 SPOT_CHECK_TOL = 1e-8
 
-#: Most RK4 steps that one oracle certificate may take: the spot-checks of one
-#: sweep, or one propagator track of the validation ledger.  About 10 s at the
-#: oracle's ~1e6 steps/s; at the CLI defaults a sweep's spot-checks take at
-#: most 2.0e4 steps and a ledger track 2.4e4.
+#: Most RK4 steps that one oracle certificate may take: the summed segment
+#: steps of the spot-check tracks of one sweep, fig2 model or power-scaling
+#: table, or one propagator track of the validation ledger.  About 10 s at
+#: the oracle's ~1e6 steps/s; at the CLI defaults the track of a sweep, or of
+#: a fig2 model's three curves, takes 5000 steps (five segments at the
+#: 1000-step floor of _rk4_steps) and a ledger track 2.4e4.
 RK4_STEP_BUDGET = 10_000_000
 
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]
@@ -136,17 +138,13 @@ def _check_step_budget(n_steps: int, check: str, model: str, p, t_final: float) 
         )
 
 
-def _certified_rows(model: str, params: list, times: list, s: float, n_th: float,
-                    row: tuple[str, np.ndarray], checked) -> tuple[np.ndarray, ...]:
-    """The (signal/f, noise, f_min, snr) columns of the rows, one scheme
-    readout per (params, time) pair, certified.  A signal or noise that is
-    not finite, or a negative noise, is a ValueError.  The rows at the
-    indices checked are compared with the RK4 oracle as one certificate: a
-    StepBudgetError before any RK4 step if it would exceed RK4_STEP_BUDGET,
-    a RuntimeError on disagreement.  Each error names its row by
+def _columns(scheme, model: str, params: list, times: list, s: float, n_th: float,
+             row: tuple[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The (signal/f, noise, f_min, snr) columns of one meter (s, n_th), one
+    scheme readout per (params, time) pair.  A signal or noise that is not
+    finite, or a negative noise, is a ValueError naming its row by
     row = (column, the column's values).  The columns are filled as they are
     computed: no per-row tuple is kept."""
-    scheme = SCHEMES[model]
     # the checks below name every value that is not finite: numpy's warnings
     # about them would only repeat it
     with np.errstate(all="ignore"):
@@ -169,41 +167,90 @@ def _certified_rows(model: str, params: list, times: list, s: float, n_th: float
     with np.errstate(divide="ignore", invalid="ignore"):
         fmin = np.where(sig != 0.0, np.sqrt(noi) / np.abs(sig), np.inf)
         snr = np.where(np.isfinite(fmin), 1.0 / fmin, 0.0)
-
-    obs = scheme.readout_observable().coeffs
-    gens = {i: lambda t, p=params[i]: scheme.generator(p, t) for i in checked}
-    steps = {i: _rk4_steps(gens[i], params[i].omega, times[i]) for i in checked}
-    # the error names the longest check (of equal ones, the latest)
-    i = max(checked, key=lambda k: (steps[k], times[k]))
-    _check_step_budget(sum(steps.values()), "the spot-checks", model, params[i], times[i])
-    for i in checked:
-        m0 = scheme.meter_state(params[i], times[i], s, n_th)
-        spec = oracle.OdeSpec(len(obs), gens[i], times[i], steps[i])
-        mean, cov = oracle.integrate_moments(spec, m0.mean, m0.cov)
-        sig_rk = float(obs @ mean)
-        noise_rk = float(obs @ cov @ obs)
-        # the RK4 truncation error scales with the largest covariance entry
-        # (~e^{2|s|}(2 n_th + 1)/4), which can dwarf the readout variance
-        # when the optimized angle squeezes the measured direction; compare
-        # relative to that scale
-        noise_scale = max(1.0, abs(noi[i]), float(np.max(np.abs(cov))))
-        dev = _max([abs(sig_rk - sig[i]), abs(noise_rk - noi[i]) / noise_scale])
-        if not dev <= SPOT_CHECK_TOL:
-            raise RuntimeError(
-                f"oracle spot-check failed: model={model} {row[0]}={row[1][i]:.6g} s={s} "
-                f"n_th={n_th} deviation={dev:.3g} > {SPOT_CHECK_TOL}"
-            )
     return sig, noi, fmin, snr
 
 
-def run_sweep(spec: SweepSpec) -> SensitivityCurve:
-    """The curve of spec, oracle-spot-checked at the quarter points of its grid."""
+def _track_plan(scheme, p, ts: list) -> list:
+    """One OdeSpec argument triple (generator, span, steps) per time of the
+    sorted ts: the segment of a forward track from the time before (0 for
+    the first), on the generator shifted to start there, with the
+    _rk4_steps of its span."""
+    plan, t0 = [], 0.0
+    for t in ts:
+        gen = lambda tau, t0=t0: scheme.generator(p, t0 + tau)
+        plan.append((gen, t - t0, _rk4_steps(gen, p.omega, t - t0)))
+        t0 = t
+    return plan
+
+
+def _certified_rows(model: str, params: list, times: list, meters: list,
+                    row: tuple[str, np.ndarray], checked) -> list[tuple[np.ndarray, ...]]:
+    """The _columns of the rows for each meter (s, n_th) of meters, certified
+    as one RK4 certificate at the rows of the indices checked.
+
+    The checked rows that share one params object form one forward track, in
+    time order.  Every (row, meter) meter_state starts on a stack at t = 0
+    (the cavity meter's angle depends on its row's time, so no state can
+    start at its own row); one integrate_moments call per checked time
+    transports the whole stack over the segment from the time before, and
+    the states of that row leave it there.  Errors come in this order: the
+    ValueErrors of _columns, meter by meter; a StepBudgetError, before any
+    RK4 step, if the tracks' summed segment steps exceed RK4_STEP_BUDGET;
+    the errors of meter_state; a RuntimeError at the first row, meter by
+    meter, whose readout the oracle does not reproduce.  Each names its row by row = (column, the column's
+    values)."""
+    scheme = SCHEMES[model]
+    columns = [_columns(scheme, model, params, times, s, n_th, row) for s, n_th in meters]
+
+    by_params = {}
+    for i in checked:
+        by_params.setdefault(id(params[i]), []).append(i)
+    tracks = [sorted(rows, key=times.__getitem__) for rows in by_params.values()]
+    plans = [_track_plan(scheme, params[rows[0]], [times[i] for i in rows]) for rows in tracks]
+    steps = [sum(n for _, _, n in plan) for plan in plans]
+    # the error names the longest track (of equal ones, the latest) by its last time
+    k = max(range(len(tracks)), key=lambda k: (steps[k], times[tracks[k][-1]]))
+    _check_step_budget(sum(steps), "the spot-checks", model, params[tracks[k][0]],
+                       times[tracks[k][-1]])
+
+    obs = scheme.readout_observable().coeffs
+    dev = {}
+    for rows, plan in zip(tracks, plans):
+        p = params[rows[0]]
+        states = [scheme.meter_state(p, times[i], s, n_th) for i in rows for s, n_th in meters]
+        mean = np.array([m.mean for m in states])
+        cov = np.array([m.cov for m in states])
+        for i, seg in zip(rows, plan):
+            mean, cov = oracle.integrate_moments(oracle.OdeSpec(len(obs), *seg), mean, cov)
+            for j, (sig, noi, _, _) in enumerate(columns):
+                sig_rk = float(obs @ mean[j])
+                noise_rk = float(obs @ cov[j] @ obs)
+                # the RK4 truncation error scales with the largest covariance
+                # entry (~e^{2|s|}(2 n_th + 1)/4), which can dwarf the readout
+                # variance when the optimized angle squeezes the measured
+                # direction; compare relative to that scale
+                noise_scale = max(1.0, abs(noi[i]), float(np.max(np.abs(cov[j]))))
+                dev[j, i] = _max([abs(sig_rk - sig[i]), abs(noise_rk - noi[i]) / noise_scale])
+            mean, cov = mean[len(meters):], cov[len(meters):]
+    for j, (s, n_th) in enumerate(meters):
+        for i in checked:
+            if not dev[j, i] <= SPOT_CHECK_TOL:
+                raise RuntimeError(
+                    f"oracle spot-check failed: model={model} {row[0]}={row[1][i]:.6g} "
+                    f"s={s} n_th={n_th} deviation={dev[j, i]:.3g} > {SPOT_CHECK_TOL}"
+                )
+    return columns
+
+
+def _sweep_curves(specs: list[SweepSpec]) -> list[SensitivityCurve]:
+    """The curves of specs, which share their model, params and grid,
+    certified together at the quarter points of the grid."""
+    spec = specs[0]
     scheme = SCHEMES[spec.model]
     p = scheme.params_from_ratios(spec.params)
     n = spec.n_points
     t_scaled = np.linspace(spec.t_start, spec.t_stop, n)
     times = t_scaled / scheme.time_unit(p)
-    s, n_th = spec.s, spec.n_th
 
     # rows round(k (n - 1)/4), k = 0..4, with row 0 moved to row 1: an odd
     # grid checks its middle row (the disentangling time of a fig2 curve and
@@ -212,22 +259,34 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
     checked = sorted({max(1, round(k * (n - 1) / 4)) for k in range(5)})
     # Python floats are the same IEEE doubles as the grid's, with cheaper
     # scalar arithmetic
-    sig, noi, fmin, snr = _certified_rows(spec.model, [p] * n, times.tolist(), s, n_th,
-                                          ("t_scaled", t_scaled), checked)
-    return SensitivityCurve(
-        spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin
-    )
+    columns = _certified_rows(spec.model, [p] * n, times.tolist(),
+                              [(c.s, c.n_th) for c in specs], ("t_scaled", t_scaled), checked)
+    return [
+        SensitivityCurve(c.model, c.s, c.n_th, dict(c.params), t_scaled, sig, noi, snr, fmin)
+        for c, (sig, noi, fmin, snr) in zip(specs, columns)
+    ]
+
+
+def run_sweep(spec: SweepSpec) -> SensitivityCurve:
+    """The curve of spec, oracle-spot-checked at the quarter points of its
+    grid on one forward RK4 track."""
+    return _sweep_curves([spec])[0]
 
 
 def fig2_curves(
     params: dict | None = None, n_points: int = 401, models=tuple(SCHEMES)
 ) -> list[SensitivityCurve]:
     """The Fig.-2 style curves, (s, n_th) in the caption triple, to twice the
-    disentangling time: six with both models."""
+    disentangling time: six with both models.  A model's three curves share
+    their params and grid, so they are certified together, on one forward
+    RK4 track through their quarter points."""
     return [
-        run_sweep(SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, s, n_th, params))
+        curve
         for model in models
-        for s, n_th in FIG2_CASES
+        for curve in _sweep_curves([
+            SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, s, n_th, params)
+            for s, n_th in FIG2_CASES
+        ])
     ]
 
 
@@ -258,7 +317,8 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     omega^2/Theta^2 < 10 are flagged out-of-regime but kept.  Cavity:
     g*alpha -> sqrt(m) (g*alpha)0 at Omega t = 2 pi.  Each row is a sweep row
     at n_th = 0, and _certified_rows spot-checks the whole table against the
-    RK4 oracle as one certificate.
+    RK4 oracle as one certificate: each row has its own params, so its own
+    one-segment track.
     """
     mult = np.asarray(sorted(spec.multipliers), dtype=float)
     scheme = SCHEMES[spec.model]
@@ -274,8 +334,8 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
                                  f"(model={spec.model} s={spec.s})") from None
     in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
     times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
-    _, _, fmin, _ = _certified_rows(spec.model, params, times, spec.s, 0.0,
-                                    ("power_multiplier", mult), range(len(params)))
+    [(_, _, fmin, _)] = _certified_rows(spec.model, params, times, [(spec.s, 0.0)],
+                                        ("power_multiplier", mult), range(len(params)))
 
     def slope(idx) -> float:
         x, y = np.log(mult[idx]), np.log(fmin[idx])
@@ -397,14 +457,16 @@ def validation_ledger(params: dict | None = None) -> dict:
     ))
 
     # --- f_min at Theta t = pi: cosine sign in the denominator; the engine
-    # value is the last row of the two-point sweep that sql runs, at each s.
+    # value is the last row of the two-point sweep that sql runs, at each s;
+    # the three sweeps share their params and grid, so one track certifies them.
     # At an odd Omega/Theta the signal and the adopted denominator both
     # vanish: two infs agree.
     s_vals = (0.0, 1.0, 5.0)
     dev_ad, dev_lit = [], []
-    for s in s_vals:
-        spec = SweepSpec("cavityless", 0.0, cavityless.T_STAR, 2, s, 0.0, params)
-        engine = run_sweep(spec).f_min[-1]
+    curves = _sweep_curves([SweepSpec("cavityless", 0.0, cavityless.T_STAR, 2, s, 0.0, params)
+                            for s in s_vals])
+    for s, curve in zip(s_vals, curves):
+        engine = curve.f_min[-1]
         dev_ad.append(_deviation(engine, cavityless.f_min_at_pi_closed(p, s)))
         dev_lit.append(_deviation(engine, cavityless.f_min_at_pi_literal(p, s)))
     dev_ad, dev_lit = _max(dev_ad), _max(dev_lit)

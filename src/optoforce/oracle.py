@@ -4,9 +4,10 @@ Two deliberately separate code paths back every closed form in the package:
 
 * fixed-step RK4 integration of the affine propagator x -> M x + d of
   dx/dt = A x + c(t), as one augmented matrix ODE Y' = [[A, c], [0, 0]] Y;
-  the moments are read off it as m = M m0 + d and V = M V0 M^T, at one
-  time or, with integrate_propagator_track, at every time of a sorted grid
-  in one forward pass of composed segments,
+  the moments are read off it as m = M m0 + d and V = M V0 M^T, for one
+  state or a stack of states, at one time or, with
+  integrate_propagator_track, at every time of a sorted grid in one forward
+  pass of composed segments,
 * truncated Fock-space moments of the initial states, one function per
   family: thermal_moments(n_bar), tmsv_moments(s) for the two-mode squeezed
   vacuum and squeezed_moments(s, phi) for the single-mode squeezed vacuum.
@@ -151,10 +152,15 @@ def integrate_moments(
     spec: OdeSpec, m0: np.ndarray, v0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean M m0 + d and covariance M V0 M^T at t_final, read off one RK4
-    propagator run (the exact transport of moments under linear dynamics)."""
+    propagator run (the exact transport of moments under linear dynamics).
+
+    m0 has shape (..., dim) and v0 (..., dim, dim): one run transports a
+    whole stack of states, and a single state keeps shapes (dim,) and
+    (dim, dim)."""
     mat, disp = integrate_propagator(spec)
     v = mat @ np.asarray(v0, dtype=float) @ mat.T
-    return mat @ np.asarray(m0, dtype=float) + disp, 0.5 * (v + v.T)
+    mean = (mat @ np.asarray(m0, dtype=float)[..., None])[..., 0] + disp
+    return mean, 0.5 * (v + np.swapaxes(v, -1, -2))
 
 
 def integrate_propagator_track(

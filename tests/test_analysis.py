@@ -109,7 +109,7 @@ def test_spot_check_fails_on_nan(monkeypatch):
     # oracle side, in the RK4 mean (the signal) or covariance (the noise)
     p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
     t_scaled = np.array([1.0])
-    args = ("cavityless", [p], (t_scaled / p.Theta).tolist(), 0.0, 0.0,
+    args = ("cavityless", [p], (t_scaled / p.Theta).tolist(), [(0.0, 0.0)],
             ("t_scaled", t_scaled), [0])
     analysis._certified_rows(*args)
     integrate_moments = analysis.oracle.integrate_moments
@@ -170,6 +170,28 @@ def test_fig2_curves():
     for c in curves:
         t_stop = 2 * np.pi if c.model == "cavityless" else 4 * np.pi
         assert_allclose(c.t_scaled[-1], t_stop)
+
+
+def test_fig2_certifies_each_model_on_one_forward_track(monkeypatch):
+    # a model's three curves share one track through their five checked
+    # rows: one integrate_moments call per row on a stack of 15 states, 3 of
+    # which leave at each row, over segments that add up to the last row's time
+    calls = []
+    integrate_moments = analysis.oracle.integrate_moments
+
+    def recorded(spec, m0, v0):
+        calls.append((spec.t_final, len(m0), len(v0)))
+        return integrate_moments(spec, m0, v0)
+
+    monkeypatch.setattr(analysis.oracle, "integrate_moments", recorded)
+    analysis.fig2_curves()
+    assert len(calls) == 5 * len(analysis.SCHEMES)
+    for k, scheme in enumerate(analysis.SCHEMES.values()):
+        track = calls[5 * k: 5 * k + 5]
+        assert [n for _, n, _ in track] == [n for _, _, n in track] == [15, 12, 9, 6, 3]
+        p = scheme.params_from_ratios(analysis.DEFAULT_PARAMS)
+        t_last = 2 * scheme.T_STAR / scheme.time_unit(p)
+        assert_allclose(sum(t for t, _, _ in track), t_last, rtol=1e-14)
 
 
 def test_power_scaling_cavity_slopes():

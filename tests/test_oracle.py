@@ -89,6 +89,22 @@ def test_time_dependent_drive():
     assert_allclose(m, [np.sin(2.0), 0.0], atol=1e-12)
 
 
+def test_moments_of_a_stack_match_one_run_per_state():
+    # three cavityless meters transported in one run against one run each;
+    # a single state keeps its shapes
+    p = cavityless.CavitylessParams.from_ratios(1.025, 10.3)
+    spec = oracle.OdeSpec(6, lambda t: cavityless.generator(p, t), np.pi / p.Theta, 2000)
+    states = [cavityless.initial_state(s, n_th) for s, n_th in [(0, 0), (0, 300), (5, 300)]]
+    means, covs = oracle.integrate_moments(spec, np.array([st.mean for st in states]),
+                                           np.array([st.cov for st in states]))
+    assert means.shape == (3, 6) and covs.shape == (3, 6, 6)
+    for st, mean, cov in zip(states, means, covs):
+        m, v = oracle.integrate_moments(spec, st.mean, st.cov)
+        assert m.shape == (6,) and v.shape == (6, 6)
+        assert_allclose(mean, m, rtol=1e-14, atol=0)
+        assert_allclose(cov, v, rtol=1e-14, atol=0)
+
+
 def test_propagator_track_matches_runs_from_zero():
     # one forward pass of composed segments against a run from t = 0 at each
     # time, for a time-dependent drive; a repeated time adds no segment
