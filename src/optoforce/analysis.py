@@ -14,10 +14,11 @@ SPOT_CHECK_TOL = 1e-8
 
 #: Most RK4 steps that one oracle certificate may take: the summed segment
 #: steps of the spot-check tracks of one sweep, fig2 model or power-scaling
-#: table, or one propagator track of the validation ledger.  About 10 s at
-#: the oracle's ~1e6 steps/s; at the CLI defaults the track of a sweep, or of
-#: a fig2 model's three curves, takes 5000 steps (five segments at the
-#: 1000-step floor of _rk4_steps) and a ledger track 2.4e4.
+#: table, or of one propagator track of the validation ledger, each segment
+#: planned by _track_plan.  About 10 s at the oracle's ~1e6 steps/s; at the
+#: CLI defaults the track of a sweep, or of a fig2 model's three curves,
+#: takes 5000 steps (five segments at the 1000-step floor of _rk4_steps) and
+#: a ledger track 2.4e4 (24 segments at the floor).
 RK4_STEP_BUDGET = 10_000_000
 
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]
@@ -128,11 +129,17 @@ def _rk4_steps(gen, omega: float, dt: float) -> int | float:
     return max(1000, int(np.ceil(max(norm, omega / 10) * dt / 0.01)))
 
 
-def _check_step_budget(n_steps: int, check: str, model: str, p, t_final: float) -> None:
-    """Raise StepBudgetError, naming the inputs, if n_steps exceeds RK4_STEP_BUDGET."""
-    if n_steps > RK4_STEP_BUDGET:
+def _check_step_budget(check: str, model: str, tracks: list) -> None:
+    """Raise StepBudgetError, naming the inputs, if the summed segment steps of
+    the planned tracks, (params, last time, _track_plan) triples, exceed
+    RK4_STEP_BUDGET.  The error names the longest track (of equal ones, the
+    latest) by its params and last time."""
+    steps = [sum(n for _, _, n in plan) for _, _, plan in tracks]
+    if sum(steps) > RK4_STEP_BUDGET:
+        k = max(range(len(tracks)), key=lambda k: (steps[k], tracks[k][1]))
+        p, t_final, _ = tracks[k]
         raise StepBudgetError(
-            f"rk4 steps: {check} to t={t_final:.6g} would take {n_steps:.3g} RK4 "
+            f"rk4 steps: {check} to t={t_final:.6g} would take {sum(steps):.3g} RK4 "
             f"steps, over the budget of {RK4_STEP_BUDGET:.3g} (model={model} {p}); "
             "the oracle cannot certify a time span this long at these parameters"
         )
@@ -174,7 +181,9 @@ def _track_plan(scheme, p, ts: list) -> list:
     """One OdeSpec argument triple (generator, span, steps) per time of the
     sorted ts: the segment of a forward track from the time before (0 for
     the first), on the generator shifted to start there, with the
-    _rk4_steps of its span."""
+    _rk4_steps of its span; an equal time gives a segment of span 0.  Every
+    RK4 run of a certificate, the spot-checks' integrate_moments and the
+    ledger's integrate_propagator_track, steps through this plan."""
     plan, t0 = [], 0.0
     for t in ts:
         gen = lambda tau, t0=t0: scheme.generator(p, t0 + tau)
@@ -207,11 +216,8 @@ def _certified_rows(model: str, params: list, times: list, meters: list,
         by_params.setdefault(id(params[i]), []).append(i)
     tracks = [sorted(rows, key=times.__getitem__) for rows in by_params.values()]
     plans = [_track_plan(scheme, params[rows[0]], [times[i] for i in rows]) for rows in tracks]
-    steps = [sum(n for _, _, n in plan) for plan in plans]
-    # the error names the longest track (of equal ones, the latest) by its last time
-    k = max(range(len(tracks)), key=lambda k: (steps[k], times[tracks[k][-1]]))
-    _check_step_budget(sum(steps), "the spot-checks", model, params[tracks[k][0]],
-                       times[tracks[k][-1]])
+    _check_step_budget("the spot-checks", model, [
+        (params[rows[0]], times[rows[-1]], plan) for rows, plan in zip(tracks, plans)])
 
     obs = scheme.readout_observable().coeffs
     dev = {}
@@ -373,25 +379,13 @@ def _ledger_entry(name, description, adopted, literal, deviation_adopted,
     }
 
 
-def _plan_track(model: str, p, t_grid):
-    """A function that returns the RK4 propagators of the model at each time
-    of the sorted t_grid, in one forward pass whose segments all take the
-    _rk4_steps of the longest one.  Raises StepBudgetError here, before any
-    RK4 step, if the pass would exceed RK4_STEP_BUDGET."""
+def _track_deviation(model: str, p, t_grid, plan) -> tuple[float, list]:
+    """The largest |RK4 - closed| entry of the pairs (M, d) at the times of
+    t_grid, and the RK4 d, on the track that _track_plan planned there."""
     scheme = SCHEMES[model]
-    gen = lambda tau: scheme.generator(p, tau)
-    dt = float(np.max(np.diff(t_grid, prepend=0.0)))
-    n_sub = _rk4_steps(gen, p.omega, dt)
-    _check_step_budget(len(t_grid) * n_sub, "the ledger's propagator track", model, p,
-                       float(t_grid[-1]))
-    dim = len(scheme.readout_observable().coeffs)
-    return lambda: oracle.integrate_propagator_track(dim, gen, t_grid, n_sub)
-
-
-def _track_deviation(model: str, p, t_grid, track) -> float:
-    """Largest |RK4 - closed| entry of the pairs (M, d) at the times of the track."""
+    track = oracle.integrate_propagator_track(len(scheme.readout_observable().coeffs), plan)
     return _max([np.max(np.abs(rk - cf)) for t, *pair in zip(t_grid, *track)
-                 for rk, cf in zip(pair, SCHEMES[model].closed_propagator(p, t))])
+                 for rk, cf in zip(pair, scheme.closed_propagator(p, t))]), track[1]
 
 
 def validation_ledger(params: dict | None = None) -> dict:
@@ -404,17 +398,19 @@ def validation_ledger(params: dict | None = None) -> dict:
     p = cavityless.params_from_ratios(params)
     q = cavity.params_from_ratios(params)
     Th, w = p.Theta, p.omega
-    # both RK4 tracks are checked against the step budget before either runs
+    # both RK4 propagator tracks are planned and checked against the step
+    # budget before either runs
     t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
     t_grid_cav = np.linspace(0.2, 4 * np.pi, 24) / q.omega
-    run_track = _plan_track("cavityless", p, t_grid)
-    run_track_cav = _plan_track("cavity", q, t_grid_cav)
+    plan = _track_plan(cavityless, p, t_grid)
+    plan_cav = _track_plan(cavity, q, t_grid_cav)
+    _check_step_budget("the ledger's propagator track", "cavityless", [(p, t_grid[-1], plan)])
+    _check_step_budget("the ledger's propagator track", "cavity", [(q, t_grid_cav[-1], plan_cav)])
     entries = []
 
     # --- propagator force terms: trig form vs the published hyperbolic term;
     # the displacements are per unit force, as the sweep columns
-    mats, disps = run_track()
-    dev_ad = _track_deviation("cavityless", p, t_grid, (mats, disps))
+    dev_ad, disps = _track_deviation("cavityless", p, t_grid, plan)
     # literal X1 force term per unit f, -[Omega sinh(Theta t) - sin(Omega t)]
     # chi Omega / (Omega^2 - Theta^2): a scalar expression per time, as numpy's
     # array transcendentals can differ from the scalar ones in the last bit
@@ -525,7 +521,7 @@ def validation_ledger(params: dict | None = None) -> dict:
     ))
 
     # --- cavity propagator vs RK4
-    dev_cav = _track_deviation("cavity", q, t_grid_cav, run_track_cav())
+    dev_cav, _ = _track_deviation("cavity", q, t_grid_cav, plan_cav)
     entries.append(_ledger_entry(
         "cavity propagator",
         "closed-form cavity propagator vs RK4 of the Heisenberg equations",

@@ -5,9 +5,9 @@ Two deliberately separate code paths back every closed form in the package:
 * fixed-step RK4 integration of the affine propagator x -> M x + d of
   dx/dt = A x + c(t), as one augmented matrix ODE Y' = [[A, c], [0, 0]] Y;
   the moments are read off it as m = M m0 + d and V = M V0 M^T, for one
-  state or a stack of states, at one time or, with
-  integrate_propagator_track, at every time of a sorted grid in one forward
-  pass of composed segments,
+  state or a stack of states; integrate_propagator_track composes the runs
+  of a forward track's segments, each planned by its caller with its own
+  time-shifted generator and step count, into (M, d) at each segment's end,
 * truncated Fock-space moments of the initial states, one function per
   family: thermal_moments(n_bar), tmsv_moments(s) for the two-mode squeezed
   vacuum and squeezed_moments(s, phi) for the single-mode squeezed vacuum.
@@ -164,21 +164,17 @@ def integrate_moments(
 
 
 def integrate_propagator_track(
-    dim: int, generator: Generator, times, n_sub: int
+    dim: int, segments: list
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """RK4 propagators (M, d) at each time of a sorted grid, in one forward pass:
-    each segment from the previous grid time (or 0) is one integrate_propagator
-    run of n_sub steps, composed as M <- M_k M, d <- M_k d + d_k."""
+    """RK4 propagators (M, d) at the end of each segment of a forward track:
+    one integrate_propagator run per OdeSpec argument triple (generator
+    shifted to the segment's start, span, n_steps), composed in time order
+    as M <- M_k M, d <- M_k d + d_k."""
     mats, disps = [], []
     m, d = np.eye(dim), np.zeros(dim)
-    t_prev = 0.0
-    for t in times:
-        if t > t_prev:
-            seg = OdeSpec(dim, lambda tau, t0=t_prev: generator(t0 + tau), t - t_prev, n_sub)
-            ms, ds = integrate_propagator(seg)
-            m = ms @ m
-            d = ms @ d + ds
-            t_prev = t
+    for seg in segments:
+        ms, ds = integrate_propagator(OdeSpec(dim, *seg))
+        m, d = ms @ m, ms @ d + ds
         mats.append(m)
         disps.append(d)
     return mats, disps

@@ -195,7 +195,7 @@ def test_bad_input_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, 
 
 # validate at g alpha/Omega = 1e200: the cavity drift is finite, but its track
 # would take ~1e203 RK4 steps
-BUDGET_1E200 = ("rk4 steps: the ledger's propagator track to t=12.5664 would take 2.58e+203 "
+BUDGET_1E200 = ("rk4 steps: the ledger's propagator track to t=12.5664 would take 2.51e+203 "
                 "RK4 steps, over the budget of 1e+07 (model=cavity "
                 "CavityParams(g_alpha=1e+200, omega=1.0)); the oracle cannot certify")
 
