@@ -14,11 +14,11 @@ SPOT_CHECK_TOL = 1e-8
 
 #: Most RK4 steps that one oracle certificate may take: the summed segment
 #: steps of the spot-check tracks of one sweep, fig2 model or power-scaling
-#: table, or of one propagator track of the validation ledger, each segment
-#: planned by _track_plan.  About 10 s at the oracle's ~1e6 steps/s; at the
-#: CLI defaults the track of a sweep, or of a fig2 model's three curves,
-#: takes 5000 steps (five segments at the 1000-step floor of _rk4_steps) and
-#: a ledger track 2.4e4 (24 segments at the floor).
+#: table, or of one propagator track of the validation ledger, as planned by
+#: _track_plans.  About 10 s at the oracle's ~1e6 steps/s; at the CLI
+#: defaults the track of a sweep, or of a fig2 model's three curves, takes
+#: 5000 steps (five segments at the 1000-step floor) and a ledger track 2.4e4
+#: (24 segments at the floor).
 RK4_STEP_BUDGET = 10_000_000
 
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]
@@ -43,13 +43,23 @@ DEFAULT_PARAMS = {
 SCHEMES = {"cavityless": cavityless, "cavity": cavity}
 
 
+def _finite(**fields) -> None:
+    """Raise ValueError, naming the first of fields that is not finite."""
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name}: must be finite, got {value!r}")
+
+
 def full_params(params: dict | None) -> dict:
-    """DEFAULT_PARAMS updated by params; a key not in DEFAULT_PARAMS is a ValueError."""
+    """DEFAULT_PARAMS updated by params; a key not in DEFAULT_PARAMS, or a
+    value that is not finite, is a ValueError."""
     unknown = sorted(set(params or {}) - set(DEFAULT_PARAMS))
     if unknown:
         raise ValueError(f"params: unknown key {unknown[0]!r}; the keys are "
                          f"{', '.join(DEFAULT_PARAMS)}")
-    return {**DEFAULT_PARAMS, **(params or {})}
+    params = {**DEFAULT_PARAMS, **(params or {})}
+    _finite(**params)
+    return params
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,7 @@ class SweepSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n_points < 2:
             raise ValueError("time grid needs at least 2 points")
+        _finite(t_start=self.t_start, t_stop=self.t_stop, s=self.s, n_th=self.n_th)
         if self.t_start < 0 or self.t_stop <= self.t_start:
             raise ValueError("times must be nonnegative and increasing")
 
@@ -114,37 +125,6 @@ def _deviation(a: float, b: float) -> float:
     return 0.0 if a == b else abs(a - b)
 
 
-def _rk4_steps(gen, omega: float, dt: float) -> int | float:
-    """RK4 steps over a time span dt, at least 1000; inf if the drift is not
-    finite, which no step count integrates (and whose SVD would make LAPACK
-    print to stderr).
-
-    Covariance entries reach ~e^{2s}(2 n_th + 1)/4; ||A|| h <= 0.01 keeps the
-    O(h^4) error below the absolute tolerance, and Omega h <= 0.1 resolves the
-    drive c(t) at the mirror frequency Omega too."""
-    drift = gen(0.0)[0]
-    if not np.isfinite(drift).all():
-        return np.inf
-    norm = np.linalg.norm(drift, 2)
-    return max(1000, int(np.ceil(max(norm, omega / 10) * dt / 0.01)))
-
-
-def _check_step_budget(check: str, model: str, tracks: list) -> None:
-    """Raise StepBudgetError, naming the inputs, if the summed segment steps of
-    the planned tracks, (params, last time, _track_plan) triples, exceed
-    RK4_STEP_BUDGET.  The error names the longest track (of equal ones, the
-    latest) by its params and last time."""
-    steps = [sum(n for _, _, n in plan) for _, _, plan in tracks]
-    if sum(steps) > RK4_STEP_BUDGET:
-        k = max(range(len(tracks)), key=lambda k: (steps[k], tracks[k][1]))
-        p, t_final, _ = tracks[k]
-        raise StepBudgetError(
-            f"rk4 steps: {check} to t={t_final:.6g} would take {sum(steps):.3g} RK4 "
-            f"steps, over the budget of {RK4_STEP_BUDGET:.3g} (model={model} {p}); "
-            "the oracle cannot certify a time span this long at these parameters"
-        )
-
-
 def _columns(scheme, model: str, params: list, times: list, s: float, n_th: float,
              row: tuple[str, np.ndarray]) -> tuple[np.ndarray, ...]:
     """The (signal/f, noise, f_min, snr) columns of one meter (s, n_th), one
@@ -177,19 +157,42 @@ def _columns(scheme, model: str, params: list, times: list, s: float, n_th: floa
     return sig, noi, fmin, snr
 
 
-def _track_plan(scheme, p, ts: list) -> list:
-    """One OdeSpec argument triple (generator, span, steps) per time of the
-    sorted ts: the segment of a forward track from the time before (0 for
-    the first), on the generator shifted to start there, with the
-    _rk4_steps of its span; an equal time gives a segment of span 0.  Every
-    RK4 run of a certificate, the spot-checks' integrate_moments and the
-    ledger's integrate_propagator_track, steps through this plan."""
-    plan, t0 = [], 0.0
-    for t in ts:
-        gen = lambda tau, t0=t0: scheme.generator(p, t0 + tau)
-        plan.append((gen, t - t0, _rk4_steps(gen, p.omega, t - t0)))
-        t0 = t
-    return plan
+def _track_plans(check: str, model: str, tracks: list) -> list:
+    """Plan a certificate's forward tracks, (params, sorted times) pairs: per
+    time, one OdeSpec argument triple (generator, span, steps) for the
+    segment from the time before (0 for the first), on the generator shifted
+    to start there; an equal time gives a span of 0.  Every RK4 run of a
+    certificate steps through these plans.
+
+    A segment of span dt takes max(1000, ceil(max(||A||, Omega/10) dt/0.01))
+    steps, ||A|| read once per track, as A is constant: ||A|| h <= 0.01 keeps
+    the O(h^4) error of covariance entries ~e^{2s}(2 n_th + 1)/4 below the
+    absolute tolerance, and Omega h <= 0.1 resolves the drive at Omega.  A
+    drift that is not finite takes inf steps (its SVD would make LAPACK print
+    to stderr).  Before any RK4 step, a StepBudgetError names the inputs if
+    the summed steps exceed RK4_STEP_BUDGET: the longest track (of equal
+    ones, the latest) by its params and last time."""
+    scheme = SCHEMES[model]
+    plans = []
+    for p, ts in tracks:
+        drift = scheme.generator(p, 0.0)[0]
+        rate = max(np.linalg.norm(drift, 2), p.omega / 10) if np.isfinite(drift).all() else None
+        plan, t0 = [], 0.0
+        for t in ts:
+            n = np.inf if rate is None else max(1000, int(np.ceil(rate * (t - t0) / 0.01)))
+            plan.append((lambda tau, p=p, t0=t0: scheme.generator(p, t0 + tau), t - t0, n))
+            t0 = t
+        plans.append(plan)
+    steps = [sum(n for _, _, n in plan) for plan in plans]
+    if sum(steps) > RK4_STEP_BUDGET:
+        k = max(range(len(tracks)), key=lambda k: (steps[k], tracks[k][1][-1]))
+        p, ts = tracks[k]
+        raise StepBudgetError(
+            f"rk4 steps: {check} to t={ts[-1]:.6g} would take {sum(steps):.3g} RK4 "
+            f"steps, over the budget of {RK4_STEP_BUDGET:.3g} (model={model} {p}); "
+            "the oracle cannot certify a time span this long at these parameters"
+        )
+    return plans
 
 
 def _certified_rows(model: str, params: list, times: list, meters: list,
@@ -215,9 +218,8 @@ def _certified_rows(model: str, params: list, times: list, meters: list,
     for i in checked:
         by_params.setdefault(id(params[i]), []).append(i)
     tracks = [sorted(rows, key=times.__getitem__) for rows in by_params.values()]
-    plans = [_track_plan(scheme, params[rows[0]], [times[i] for i in rows]) for rows in tracks]
-    _check_step_budget("the spot-checks", model, [
-        (params[rows[0]], times[rows[-1]], plan) for rows, plan in zip(tracks, plans)])
+    plans = _track_plans("the spot-checks", model,
+                         [(params[rows[0]], [times[i] for i in rows]) for rows in tracks])
 
     obs = scheme.readout_observable().coeffs
     dev = {}
@@ -313,6 +315,7 @@ class PowerScalingSpec:
             raise ValueError("power scaling needs at least one multiplier")
         if not all(0 < m < np.inf for m in self.multipliers):
             raise ValueError("power multipliers must be positive and finite")
+        _finite(s=self.s)
 
 
 def power_scaling(spec: PowerScalingSpec) -> dict:
@@ -381,7 +384,7 @@ def _ledger_entry(name, description, adopted, literal, deviation_adopted,
 
 def _track_deviation(model: str, p, t_grid, plan) -> tuple[float, list]:
     """The largest |RK4 - closed| entry of the pairs (M, d) at the times of
-    t_grid, and the RK4 d, on the track that _track_plan planned there."""
+    t_grid, and the RK4 d, on the track that _track_plans planned there."""
     scheme = SCHEMES[model]
     track = oracle.integrate_propagator_track(len(scheme.readout_observable().coeffs), plan)
     return _max([np.max(np.abs(rk - cf)) for t, *pair in zip(t_grid, *track)
@@ -402,10 +405,8 @@ def validation_ledger(params: dict | None = None) -> dict:
     # budget before either runs
     t_grid = np.linspace(0.1, 2 * np.pi, 24) / Th
     t_grid_cav = np.linspace(0.2, 4 * np.pi, 24) / q.omega
-    plan = _track_plan(cavityless, p, t_grid)
-    plan_cav = _track_plan(cavity, q, t_grid_cav)
-    _check_step_budget("the ledger's propagator track", "cavityless", [(p, t_grid[-1], plan)])
-    _check_step_budget("the ledger's propagator track", "cavity", [(q, t_grid_cav[-1], plan_cav)])
+    [plan] = _track_plans("the ledger's propagator track", "cavityless", [(p, t_grid)])
+    [plan_cav] = _track_plans("the ledger's propagator track", "cavity", [(q, t_grid_cav)])
     entries = []
 
     # --- propagator force terms: trig form vs the published hyperbolic term;

@@ -50,10 +50,11 @@ class CavityParams:
     force = 1.0
 
     def __post_init__(self):
+        for name in ("g_alpha", "omega"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if not np.isfinite(self.g_alpha):
-            raise ValueError("g_alpha must be finite")
 
     @functools.cached_property
     def r(self) -> float:

@@ -75,6 +75,9 @@ class CavitylessParams:
     force = 1.0
 
     def __post_init__(self):
+        for name in ("chi", "theta", "omega"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.chi <= 0:
             raise ValueError("chi must be positive")
         if self.theta <= self.chi:

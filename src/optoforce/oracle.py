@@ -62,8 +62,9 @@ def _augmented(generator: Generator, dim: int, times) -> np.ndarray:
 @dataclass(frozen=True)
 class OdeSpec:
     """Fixed-step RK4 problem: generator t -> (A, c) on an array of times
-    (see Generator), horizon and step count; a step with ||A(0)|| h >=
-    _STEP_SAFETY is refused, naming the step count it needs."""
+    (see Generator), horizon and step count; an A(0) or c(0) that is not
+    finite is refused by name, and a step with ||A(0)|| h >= _STEP_SAFETY,
+    naming the step count it needs."""
 
     dim: int
     generator: Generator
@@ -78,6 +79,9 @@ class OdeSpec:
         a, c = self.generator(np.zeros(1))
         if np.shape(a)[-2:] != (self.dim, self.dim) or np.shape(c)[-1:] != (self.dim,):
             raise ValueError("generator output does not match dim")
+        for name, value in (("A", a), ("c", c)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"generator: {name} at t = 0 is not finite")
         norm = np.linalg.norm(np.reshape(a, (-1, self.dim, self.dim))[0], 2)
         step = norm * abs(self.t_final / self.n_steps)
         if step >= _STEP_SAFETY:

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from optoforce import analysis
+from optoforce import cavity as cv
 from optoforce import cavityless as cl
 
+import referee
 import spectrum_helpers as sh
 
 
@@ -17,6 +19,30 @@ def test_sweep_spec_validation():
         analysis.SweepSpec("cavity", n_points=1)
     with pytest.raises(ValueError):
         analysis.SweepSpec("cavity", t_start=2.0, t_stop=1.0)
+
+
+def _not_finite(field, bad):
+    """Spec keywords that set field, a spec field or a params ratio, to bad."""
+    return {"params": {field: bad}} if field in analysis.DEFAULT_PARAMS else {field: bad}
+
+
+# the library, not only the CLI, refuses a value that is not finite at
+# construction, by name, where it would otherwise end as an overflow of the
+# closed forms
+@pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["t_start", "t_stop", "s", "n_th", *analysis.DEFAULT_PARAMS])
+def test_sweep_spec_names_a_value_that_is_not_finite(model, bad, field):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite, got {bad!r}$"):
+        analysis.SweepSpec(model, **_not_finite(field, bad))
+
+
+@pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["s", *analysis.DEFAULT_PARAMS])
+def test_power_scaling_spec_names_a_value_that_is_not_finite(model, bad, field):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite, got {bad!r}$"):
+        analysis.PowerScalingSpec(model, (1.0,), **_not_finite(field, bad))
 
 
 def test_sweep_spec_merges_params_over_the_defaults():
@@ -303,7 +329,7 @@ def test_validation_ledger_at_an_odd_omega_over_theta(omega_over_theta):
 
 
 def test_validation_ledger_tracks_take_the_steps_of_each_segment(monkeypatch):
-    # each segment of a ledger track takes the _rk4_steps of its own span:
+    # each segment of a ledger track takes the steps of its own span:
     # at g alpha/Omega = 10 the cavity track's first segment, 0 -> 0.2/Omega,
     # stays at the 1000-step floor where its 23 longer ones take 1103; the
     # f_min entry's moment run is told apart by its spec
@@ -333,6 +359,64 @@ def test_validation_ledger_tracks_take_the_steps_of_each_segment(monkeypatch):
     assert track_runs(None) == [(6, 1000)] * 24 + [(4, 1000)] * 24
 
 
+def _rule_steps(model, p, span):
+    """The RK4 steps of a certificate segment, restated: at least 1000, with
+    max(||A||, Omega/10) h <= 0.01."""
+    norm = np.linalg.norm(analysis.SCHEMES[model].drift_matrix(p), 2)
+    return max(1000, int(np.ceil(max(norm, p.omega / 10) * span / 0.01)))
+
+
+def _fig2_segments(model, params):
+    """(params, span) of each segment of a fig2 model's track: 0 to its first
+    checked row, then from each checked row to the next."""
+    scheme = analysis.SCHEMES[model]
+    p = scheme.params_from_ratios(analysis.full_params(params))
+    times = np.linspace(0.0, 2 * scheme.T_STAR, 401) / scheme.time_unit(p)
+    return [(p, span) for span in np.diff(times[[1, 100, 200, 300, 400]], prepend=0.0)]
+
+
+def _power_scaling_segments(model, params, multipliers):
+    """(params, span) of each row of a power-scaling table: a one-segment
+    track from 0 to the row's disentangling time."""
+    scheme = analysis.SCHEMES[model]
+    base = scheme.params_from_ratios(analysis.full_params(params))
+    rows = [scheme.power_scaled(base, m) for m in multipliers]
+    return [(p, scheme.T_STAR / scheme.time_unit(p)) for p in rows]
+
+
+# Omega/Theta = 100 lifts the cavityless segments above the 1000-step floor
+# through Omega/10, and g alpha/Omega = 10 the cavity's through ||A||
+STEP_PARAMS = {"omega_over_theta": 100.0, "g_alpha_over_omega": 10.0}
+MULTIPLIERS = (0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
+@pytest.mark.parametrize("kind", ["fig2", "power-scaling"])
+def test_certificate_segments_take_the_steps_of_the_rule(monkeypatch, kind, model):
+    # every integrate_moments run of a certificate takes the rule's steps on
+    # its own params and span: a rule that gives too many steps, or a plan
+    # that reads another row's params, fails here
+    specs = []
+    integrate_moments = analysis.oracle.integrate_moments
+
+    def recorded(spec, m0, v0):
+        specs.append(spec)
+        return integrate_moments(spec, m0, v0)
+
+    monkeypatch.setattr(analysis.oracle, "integrate_moments", recorded)
+    if kind == "fig2":
+        analysis.fig2_curves(STEP_PARAMS, models=(model,))
+        segments = _fig2_segments(model, STEP_PARAMS)
+    else:
+        analysis.power_scaling(analysis.PowerScalingSpec(model, MULTIPLIERS, STEP_PARAMS))
+        segments = _power_scaling_segments(model, STEP_PARAMS, MULTIPLIERS)
+    assert len(specs) == len(segments)
+    assert_allclose([s.t_final for s in specs], [span for _, span in segments], rtol=1e-15)
+    steps = [s.n_steps for s in specs]
+    assert steps == [_rule_steps(model, p, s.t_final) for (p, _), s in zip(segments, specs)]
+    assert max(steps) > 1000
+
+
 # correct code that the ledger calls UNHEALTHY: each entry is judged against
 # the absolute 1e-8 bound
 LEDGER_FALSE_ALARMS = [
@@ -345,7 +429,7 @@ LEDGER_FALSE_ALARMS = [
         "near 4e8, ~1.8e-7, is ~4e-16 relative"),
         id="g_alpha_over_omega=40"),
     pytest.param({"omega_over_theta": 400.0}, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 4: the Omega h <= 0.1 rule of _rk4_steps leaves "
+        strict=True, reason="ROADMAP item 4: the Omega h <= 0.1 rule of _track_plans leaves "
         "~1.1e-7 of RK4 truncation in the force response over ~400 drive periods"),
         id="omega_over_theta=400"),
 ]
@@ -354,6 +438,55 @@ LEDGER_FALSE_ALARMS = [
 @pytest.mark.parametrize("params", LEDGER_FALSE_ALARMS)
 def test_validation_ledger_is_healthy_on_correct_code(params):
     assert analysis.validation_ledger(params)["healthy"]
+
+
+# the diagnosis of each false alarm above, against the 50-digit referee
+@pytest.mark.parametrize("params", [{"theta_over_chi": 1.0005}, {"omega_over_theta": 400.0}],
+                         ids=["theta_over_chi=1.0005", "omega_over_theta=400"])
+def test_ledger_force_response_false_alarm_is_the_rk4_track(monkeypatch, params):
+    # at the worst row of the ledger's cavityless track and two others the
+    # closed (M, d) is the referee's, and the RK4 track is the side that
+    # carries the ledger's deviation
+    tracks = []
+    integrate_track = analysis.oracle.integrate_propagator_track
+    monkeypatch.setattr(analysis.oracle, "integrate_propagator_track",
+                        lambda dim, segments: tracks.append(integrate_track(dim, segments))
+                        or tracks[-1])
+    by_name = {e["formula"]: e for e in analysis.validation_ledger(params)["entries"]}
+    deviation = by_name["cavityless force response (sinh term)"]["engine_vs_adopted_max_deviation"]
+    assert deviation > analysis.SPOT_CHECK_TOL
+
+    p = cl.params_from_ratios(analysis.full_params(params))
+    t_grid = np.linspace(0.1, 2 * np.pi, 24) / p.Theta  # the ledger's grid
+    rk4 = list(zip(*tracks[0]))  # the cavityless track runs first
+    closed = [cl.closed_propagator(p, t) for t in t_grid]
+
+    def dev(pair, other):
+        return max(np.max(np.abs(a - b)) for a, b in zip(pair, other))
+
+    devs = [dev(rk, cf) for rk, cf in zip(rk4, closed)]
+    assert max(devs) == deviation
+    worst = int(np.argmax(devs))
+    for i in [worst] + [i for i in (0, 12, 23) if i != worst][:2]:
+        exact = referee.cavityless_propagator(p, t_grid[i])
+        bound = 1e-12 * max(1.0, np.max(np.abs(exact[0])))
+        assert dev(closed[i], exact) <= bound
+        if i == worst:
+            assert abs(dev(rk4[i], exact) - deviation) <= bound
+
+
+def test_ledger_phi_minimum_false_alarm_is_the_scan_rounding():
+    # at g alpha/Omega = 40 the scan and the closed phi-minimum of the ledger
+    # agree to 1e-14 relative; only the absolute bound calls them apart
+    q = cv.params_from_ratios(analysis.full_params({"g_alpha_over_omega": 40.0}))
+    t0 = 2.0 * np.pi / q.omega
+    devs = []
+    for s in (0.0, 1.0, 5.0):
+        _, closed = cv.minimize_noise_over_phi(q, t0, s, 0.0)
+        _, scan = cv.scan_noise_over_phi(q, t0, s, 0.0)
+        assert abs(scan - closed) <= 1e-14 * closed
+        devs.append(abs(scan - closed))
+    assert max(devs) > analysis.SPOT_CHECK_TOL
 
 
 def test_validation_ledger():

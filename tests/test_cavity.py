@@ -29,6 +29,14 @@ def test_params():
         cv.CavityParams(0.2, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("field", ["g_alpha", "omega"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_params_name_a_field_that_is_not_finite(field, bad):
+    fields = {"g_alpha": 0.2, "omega": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        cv.CavityParams(**fields)
+
+
 def test_drift_matrix_structure():
     a = cv.drift_matrix(Q)
     # Xa is a constant of motion

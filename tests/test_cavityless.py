@@ -34,6 +34,16 @@ def test_param_validation():
         cl.CavitylessParams(1.0, 1.1, 5.0, 2.0)
 
 
+@pytest.mark.parametrize("field", ["chi", "theta", "omega"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_params_name_a_field_that_is_not_finite(field, bad):
+    # a NaN compares False with every bound, and an inf theta or omega only
+    # warns that the regime is left
+    fields = {"chi": 1.0, "theta": 1.5, "omega": 5.0, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        cl.CavitylessParams(**fields)
+
+
 def test_drift_matrix_structure():
     a = cl.drift_matrix(P)
     # X and Y sectors do not mix

@@ -644,6 +644,24 @@ def test_no_command_loads_numpy_random(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_config_sweep_runs_with_encoding_warnings_as_errors(tmp_path):
+    # the environment of CI's bare-install smoke runs: a text open anywhere in
+    # src that leaves its encoding to the locale fails the command
+    config = tmp_path / "run.cfg"
+    config.write_text("# Ωt grid, été\ns = 1\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               PYTHONWARNDEFAULTENCODING="1", PYTHONWARNINGS="error::EncodingWarning")
+    env.pop(cli.OUTDIR_ENV, None)
+    proc = subprocess.run([sys.executable, "-m", "optoforce.cli", "--config", str(config),
+                           "sweep", "--format", "json", "--points", "41"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    [written] = tmp_path.glob("*.json")
+    data = json.loads(written.read_text(encoding="utf-8"))
+    assert len(data["records"]) == 41 and data["metadata"]["s"] == 1.0
+
+
 FOCK_CALLS = [("thermal_moments", (0.5,)), ("tmsv_moments", (0.5,)),
               ("squeezed_moments", (0.5, 0.4))]
 

@@ -26,6 +26,17 @@ def test_ode_spec_validation():
         oracle.OdeSpec(4, gen, 1.0, 1000)  # shape mismatch
 
 
+@pytest.mark.parametrize("name", ["A", "c"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ode_spec_refuses_a_generator_that_is_not_finite(name, bad):
+    # a NaN drift would reach the SVD of the 2-norm, and an inf one would
+    # integrate to NaN
+    a, c = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2)
+    (a if name == "A" else c)[0] = bad
+    with pytest.raises(ValueError, match=f"generator: {name} at t = 0 is not finite"):
+        oracle.OdeSpec(2, lambda t: (a, c), 1.0, 1000)
+
+
 def test_step_size_guard_names_required_steps():
     with pytest.raises(ValueError, match="n_steps >="):
         oracle.OdeSpec(2, rotation_generator(50.0), 10.0, 100)
