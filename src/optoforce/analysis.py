@@ -83,6 +83,8 @@ class SweepSpec:
         _finite(t_start=self.t_start, t_stop=self.t_stop, s=self.s, n_th=self.n_th)
         if self.t_start < 0 or self.t_stop <= self.t_start:
             raise ValueError("times must be nonnegative and increasing")
+        if self.n_th < 0:
+            raise ValueError("n_th: thermal occupation must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -196,33 +198,27 @@ def _track_plans(check: str, model: str, tracks: list) -> list:
 
 
 def _certified_rows(model: str, params: list, times: list, meters: list,
-                    row: tuple[str, np.ndarray], checked) -> list[tuple[np.ndarray, ...]]:
+                    row: tuple[str, np.ndarray], tracks: list) -> list[tuple[np.ndarray, ...]]:
     """The _columns of the rows for each meter (s, n_th) of meters, certified
-    as one RK4 certificate at the rows of the indices checked.
+    as one RK4 certificate on tracks: forward tracks, each a list of row
+    indices in time order whose rows share one params object.
 
-    The checked rows that share one params object form one forward track, in
-    time order.  Every (row, meter) meter_state starts on a stack at t = 0
-    (the cavity meter's angle depends on its row's time, so no state can
-    start at its own row); one integrate_moments call per checked time
-    transports the whole stack over the segment from the time before, and
-    the states of that row leave it there.  Errors come in this order: the
-    ValueErrors of _columns, meter by meter; a StepBudgetError, before any
-    RK4 step, if the tracks' summed segment steps exceed RK4_STEP_BUDGET;
-    the errors of meter_state; a RuntimeError at the first row, meter by
-    meter, whose readout the oracle does not reproduce.  Each names its row by row = (column, the column's
-    values)."""
+    Every (row, meter) meter_state of a track starts on a stack at t = 0 (the
+    cavity meter's angle depends on its row's time, so no state can start at
+    its own row); one integrate_moments call per row transports the stack
+    over the segment from the time before, and there the row's states leave
+    it, judged meter by meter.  Errors come in this order: the ValueErrors of
+    _columns, meter by meter; a StepBudgetError, before any RK4 step, if the
+    summed segment steps exceed RK4_STEP_BUDGET; then, track by track, its
+    meter_state errors and a RuntimeError at the first (row, meter) whose
+    readout the oracle does not reproduce, before any later segment runs.
+    Each names its row by row = (column, the column's values)."""
     scheme = SCHEMES[model]
     columns = [_columns(scheme, model, params, times, s, n_th, row) for s, n_th in meters]
-
-    by_params = {}
-    for i in checked:
-        by_params.setdefault(id(params[i]), []).append(i)
-    tracks = [sorted(rows, key=times.__getitem__) for rows in by_params.values()]
     plans = _track_plans("the spot-checks", model,
                          [(params[rows[0]], [times[i] for i in rows]) for rows in tracks])
 
     obs = scheme.readout_observable().coeffs
-    dev = {}
     for rows, plan in zip(tracks, plans):
         p = params[rows[0]]
         states = [scheme.meter_state(p, times[i], s, n_th) for i in rows for s, n_th in meters]
@@ -230,7 +226,7 @@ def _certified_rows(model: str, params: list, times: list, meters: list,
         cov = np.array([m.cov for m in states])
         for i, seg in zip(rows, plan):
             mean, cov = oracle.integrate_moments(oracle.OdeSpec(len(obs), *seg), mean, cov)
-            for j, (sig, noi, _, _) in enumerate(columns):
+            for j, ((s, n_th), (sig, noi, _, _)) in enumerate(zip(meters, columns)):
                 sig_rk = float(obs @ mean[j])
                 noise_rk = float(obs @ cov[j] @ obs)
                 # the RK4 truncation error scales with the largest covariance
@@ -238,22 +234,19 @@ def _certified_rows(model: str, params: list, times: list, meters: list,
                 # variance when the optimized angle squeezes the measured
                 # direction; compare relative to that scale
                 noise_scale = max(1.0, abs(noi[i]), float(np.max(np.abs(cov[j]))))
-                dev[j, i] = _max([abs(sig_rk - sig[i]), abs(noise_rk - noi[i]) / noise_scale])
+                dev = _max([abs(sig_rk - sig[i]), abs(noise_rk - noi[i]) / noise_scale])
+                if not dev <= SPOT_CHECK_TOL:
+                    raise RuntimeError(
+                        f"oracle spot-check failed: model={model} {row[0]}={row[1][i]:.6g} "
+                        f"s={s} n_th={n_th} deviation={dev:.3g} > {SPOT_CHECK_TOL}"
+                    )
             mean, cov = mean[len(meters):], cov[len(meters):]
-    for j, (s, n_th) in enumerate(meters):
-        for i in checked:
-            if not dev[j, i] <= SPOT_CHECK_TOL:
-                raise RuntimeError(
-                    f"oracle spot-check failed: model={model} {row[0]}={row[1][i]:.6g} "
-                    f"s={s} n_th={n_th} deviation={dev[j, i]:.3g} > {SPOT_CHECK_TOL}"
-                )
     return columns
 
 
-def _sweep_curves(specs: list[SweepSpec]) -> list[SensitivityCurve]:
-    """The curves of specs, which share their model, params and grid,
-    certified together at the quarter points of the grid."""
-    spec = specs[0]
+def _sweep_curves(spec: SweepSpec, meters: list) -> list[SensitivityCurve]:
+    """The curves of spec's grid, one per meter (s, n_th) of meters, certified
+    on one forward RK4 track through the quarter points of the grid."""
     scheme = SCHEMES[spec.model]
     p = scheme.params_from_ratios(spec.params)
     n = spec.n_points
@@ -267,34 +260,33 @@ def _sweep_curves(specs: list[SweepSpec]) -> list[SensitivityCurve]:
     checked = sorted({max(1, round(k * (n - 1) / 4)) for k in range(5)})
     # Python floats are the same IEEE doubles as the grid's, with cheaper
     # scalar arithmetic
-    columns = _certified_rows(spec.model, [p] * n, times.tolist(),
-                              [(c.s, c.n_th) for c in specs], ("t_scaled", t_scaled), checked)
+    columns = _certified_rows(spec.model, [p] * n, times.tolist(), meters,
+                              ("t_scaled", t_scaled), [checked])
     return [
-        SensitivityCurve(c.model, c.s, c.n_th, dict(c.params), t_scaled, sig, noi, snr, fmin)
-        for c, (sig, noi, fmin, snr) in zip(specs, columns)
+        SensitivityCurve(spec.model, s, n_th, dict(spec.params), t_scaled, sig, noi, snr, fmin)
+        for (s, n_th), (sig, noi, fmin, snr) in zip(meters, columns)
     ]
 
 
 def run_sweep(spec: SweepSpec) -> SensitivityCurve:
     """The curve of spec, oracle-spot-checked at the quarter points of its
-    grid on one forward RK4 track."""
-    return _sweep_curves([spec])[0]
+    grid on one forward RK4 track, which stops at the first row that fails."""
+    return _sweep_curves(spec, [(spec.s, spec.n_th)])[0]
 
 
 def fig2_curves(
     params: dict | None = None, n_points: int = 401, models=tuple(SCHEMES)
 ) -> list[SensitivityCurve]:
-    """The Fig.-2 style curves, (s, n_th) in the caption triple, to twice the
-    disentangling time: six with both models.  A model's three curves share
-    their params and grid, so they are certified together, on one forward
-    RK4 track through their quarter points."""
+    """The Fig.-2 style curves, (s, n_th) in the caption triple FIG2_CASES,
+    to twice the disentangling time: six with both models.  A model's three
+    curves share their grid, so one forward RK4 track through its quarter
+    points certifies them, row by row and at each row meter by meter."""
     return [
         curve
         for model in models
-        for curve in _sweep_curves([
-            SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, s, n_th, params)
-            for s, n_th in FIG2_CASES
-        ])
+        for curve in _sweep_curves(
+            SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, params=params),
+            FIG2_CASES)
     ]
 
 
@@ -344,7 +336,8 @@ def power_scaling(spec: PowerScalingSpec) -> dict:
     in_regime = np.array([scheme.in_regime(p) for p in params], dtype=bool)
     times = [scheme.T_STAR / scheme.time_unit(p) for p in params]
     [(_, _, fmin, _)] = _certified_rows(spec.model, params, times, [(spec.s, 0.0)],
-                                        ("power_multiplier", mult), range(len(params)))
+                                        ("power_multiplier", mult),
+                                        [[i] for i in range(len(mult))])
 
     def slope(idx) -> float:
         x, y = np.log(mult[idx]), np.log(fmin[idx])
@@ -460,8 +453,8 @@ def validation_ledger(params: dict | None = None) -> dict:
     # vanish: two infs agree.
     s_vals = (0.0, 1.0, 5.0)
     dev_ad, dev_lit = [], []
-    curves = _sweep_curves([SweepSpec("cavityless", 0.0, cavityless.T_STAR, 2, s, 0.0, params)
-                            for s in s_vals])
+    curves = _sweep_curves(SweepSpec("cavityless", 0.0, cavityless.T_STAR, 2, params=params),
+                           [(s, 0.0) for s in s_vals])
     for s, curve in zip(s_vals, curves):
         engine = curve.f_min[-1]
         dev_ad.append(_deviation(engine, cavityless.f_min_at_pi_closed(p, s)))

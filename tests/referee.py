@@ -1,18 +1,20 @@
 """A 50-digit referee for the closed propagators.
 
 It computes the exact (M, d) of dm/dt = A m + c(t) as mpmath's expm of the
-autonomous generator.  The cavityless drive c(t) = Omega(-sin Omega t,
-cos Omega t), in the mirror slots 2 and 3, is carried as an oscillator
-block: its phase w = (cos Omega t, sin Omega t) is two more state entries,
-with w' = W w, W = Omega [[0, -1], [1, 0]] and w(0) = (1, 0).  The generator
-is built here from drift_matrix and Omega alone, so the referee shares no
-code with the closed forms or with the RK4 oracle.
+autonomous generator.  The cavity drive c = (0, 0, 0, Omega) is constant:
+one more state entry, fixed at 1, carries it.  The cavityless drive
+c(t) = Omega(-sin Omega t, cos Omega t), in the mirror slots 2 and 3, is
+carried as an oscillator block: its phase w = (cos Omega t, sin Omega t) is
+two more state entries, with w' = W w, W = Omega [[0, -1], [1, 0]] and
+w(0) = (1, 0).  The generator of each scheme is built here from its
+drift_matrix and Omega alone, so the referee shares no code with the closed
+forms or with the RK4 oracle.
 """
 
 import mpmath
 import numpy as np
 
-from optoforce import cavityless
+from optoforce import cavity, cavityless
 
 DPS = 50
 
@@ -36,3 +38,13 @@ def cavityless_propagator(p: cavityless.CavitylessParams, t: float) -> tuple:
     g[6, 7], g[7, 6] = -w, w
     e = expm(g, t)
     return e[:6, :6], e[:6, 6]
+
+
+def cavity_propagator(p: cavity.CavityParams, t: float) -> tuple:
+    """The exact (M(t), d(t)) of the cavity scheme, d per unit force:
+    expm(G t) = [[M, d], [0, 1]] for G = [[A, c], [0, 0]]."""
+    g = np.zeros((5, 5))
+    g[:4, :4] = cavity.drift_matrix(p)
+    g[3, 4] = p.omega  # c_3 = Omega, in the Yb slot
+    e = expm(g, t)
+    return e[:4, :4], e[:4, 4]

@@ -45,6 +45,15 @@ def test_power_scaling_spec_names_a_value_that_is_not_finite(model, bad, field):
         analysis.PowerScalingSpec(model, (1.0,), **_not_finite(field, bad))
 
 
+# a negative thermal occupation is an invalid input, not a loss of precision
+# of the closed forms, nor a nameless n_bar of the meter state
+@pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
+@pytest.mark.parametrize("params", [{}, {"g_alpha_over_omega": 1.0}])
+def test_sweep_spec_names_a_negative_n_th(model, params):
+    with pytest.raises(ValueError, match="^n_th: thermal occupation must be nonnegative$"):
+        analysis.SweepSpec(model, n_points=41, n_th=-1.0, params=params)
+
+
 def test_sweep_spec_merges_params_over_the_defaults():
     spec = analysis.SweepSpec("cavityless", params={"theta_over_chi": 1.1})
     assert spec.params == dict(analysis.DEFAULT_PARAMS, theta_over_chi=1.1)
@@ -136,7 +145,7 @@ def test_spot_check_fails_on_nan(monkeypatch):
     p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
     t_scaled = np.array([1.0])
     args = ("cavityless", [p], (t_scaled / p.Theta).tolist(), [(0.0, 0.0)],
-            ("t_scaled", t_scaled), [0])
+            ("t_scaled", t_scaled), [[0]])
     analysis._certified_rows(*args)
     integrate_moments = analysis.oracle.integrate_moments
     for poisoned in (0, 1):
@@ -175,6 +184,46 @@ def test_fig2_spot_checks_certify_the_disentangling_row(model, s, n_th, monkeypa
     with pytest.raises(RuntimeError, match=rf"^oracle spot-check failed: model={model} "
                        rf"t_scaled={scheme.T_STAR:.6g} s={s} n_th={n_th} deviation="):
         analysis.run_sweep(spec)
+
+
+def _plant_and_count(monkeypatch, bad):
+    """Make the cavityless readout 1.5x too noisy at each (row, s, n_th) of
+    bad, a row of the 401-point grid to twice the disentangling time, and
+    count the oracle's integrate_moments calls in the list it returns."""
+    p = cl.params_from_ratios(analysis.DEFAULT_PARAMS)
+    times = (np.linspace(0.0, 2 * cl.T_STAR, 401) / p.Theta).tolist()
+    bad = {(times[i], s, n_th) for i, s, n_th in bad}
+    readout, integrate_moments, calls = cl.readout, analysis.oracle.integrate_moments, []
+
+    def wrong_readout(params, t, s, n_th):
+        sig, noise = readout(params, t, s, n_th)
+        return sig, 1.5 * noise if (t, s, n_th) in bad else noise
+
+    monkeypatch.setattr(cl, "readout", wrong_readout)
+    monkeypatch.setattr(analysis.oracle, "integrate_moments",
+                        lambda *args: calls.append(1) or integrate_moments(*args))
+    return calls
+
+
+def test_a_failing_sweep_runs_no_later_segment(monkeypatch):
+    # the certificate judges each checked row where its track reaches it: a
+    # bad row 100, the second of the checked rows 1, 100, 200, 300 and 400,
+    # stops the track after its second segment
+    calls = _plant_and_count(monkeypatch, [(100, 0.0, 300.0)])
+    with pytest.raises(RuntimeError, match=r"^oracle spot-check failed: model=cavityless "
+                       r"t_scaled=1\.5708 s=0\.0 n_th=300\.0 deviation=0\.000298 > 1e-08$"):
+        analysis.run_sweep(analysis.SweepSpec("cavityless", 0.0, 2 * cl.T_STAR, 401, 0.0, 300.0))
+    assert len(calls) == 2
+
+
+def test_fig2_names_the_first_failing_row_in_track_order(monkeypatch):
+    # two bad (row, meter) pairs: the earlier row is named, whatever its
+    # meter's place in FIG2_CASES, and no segment after it runs
+    calls = _plant_and_count(monkeypatch, [(100, 5.0, 300.0), (300, 0.0, 0.0)])
+    with pytest.raises(RuntimeError, match=r"^oracle spot-check failed: model=cavityless "
+                       r"t_scaled=1\.5708 s=5\.0 n_th=300\.0 deviation="):
+        analysis.fig2_curves(models=("cavityless",))
+    assert len(calls) == 2
 
 
 @pytest.mark.filterwarnings("error")
