@@ -15,10 +15,10 @@ SPOT_CHECK_TOL = 1e-8
 #: Most RK4 steps that one oracle certificate may take: the summed segment
 #: steps of the spot-check tracks of one sweep, fig2 model or power-scaling
 #: table, or of one propagator track of the validation ledger, as planned by
-#: _track_plans.  About 10 s at the oracle's ~1e6 steps/s; at the CLI
-#: defaults the track of a sweep, or of a fig2 model's three curves, takes
-#: 5000 steps (five segments at the 1000-step floor) and a ledger track 2.4e4
-#: (24 segments at the floor).
+#: _track_plans.  About 6 s at the oracle's ~1.6e6 cavityless steps/s (2-CPU
+#: Xeon, numpy 2.4); at the CLI defaults the track of a sweep, or of a fig2
+#: model's three curves, takes 5000 steps (five segments at the 1000-step
+#: floor) and a ledger track 2.4e4 (24 segments at the floor).
 RK4_STEP_BUDGET = 10_000_000
 
 FIG2_CASES = [(0.0, 0.0), (0.0, 300.0), (5.0, 300.0)]

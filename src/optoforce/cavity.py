@@ -100,8 +100,8 @@ def drive_vector(params: CavityParams, t) -> np.ndarray:
 
 
 def generator(params: CavityParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """(A, c) with dm/dt = A m + c and dV/dt = A V + V A^T; t a time or an
-    array of times (the oracle's Generator)."""
+    """(A, c) with dm/dt = A m + c and dV/dt = A V + V A^T, the oracle's
+    Generator: one constant (4, 4) A and c of shape t.shape + (4,)."""
     return drift_matrix(params), drive_vector(params, t)
 
 

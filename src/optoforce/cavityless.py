@@ -58,6 +58,11 @@ def _below_sqrt_max(ratio: str, value: float, name: str, coupling: float) -> Non
                          f"overflows; theta and Omega must be below {_SQRT_MAX:.3g}")
 
 
+def _Theta(theta: float, chi: float) -> float:
+    """sqrt(theta^2 - chi^2) as a Python float, for Theta and from_ratios."""
+    return float(np.sqrt(theta**2 - chi**2))
+
+
 class DegenerateResonanceError(ValueError):
     """Theta = Omega: the forced-response denominators Omega^2 - Theta^2 vanish."""
 
@@ -102,7 +107,7 @@ class CavitylessParams:
 
     @functools.cached_property
     def Theta(self) -> float:
-        return float(np.sqrt(self.theta**2 - self.chi**2))
+        return _Theta(self.theta, self.chi)
 
     @functools.cached_property
     def _drift_powers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,9 +130,7 @@ class CavitylessParams:
         """
         theta = theta_over_chi * CHI
         _below_sqrt_max("theta_over_chi", theta_over_chi, "theta", theta)
-        # a Python float, as in the Theta property
-        Theta = float(np.sqrt(theta**2 - CHI**2))
-        omega = omega_over_theta * Theta
+        omega = omega_over_theta * _Theta(theta, CHI)
         _below_sqrt_max("omega_over_theta", omega_over_theta, "Omega", omega)
         return cls(chi=CHI, theta=theta, omega=omega)
 
@@ -160,8 +163,8 @@ def drive_vector(params: CavitylessParams, t) -> np.ndarray:
 
 
 def generator(params: CavitylessParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """(A, c(t)) with dm/dt = A m + c(t) and dV/dt = A V + V A^T; t a time or
-    an array of times (the oracle's Generator)."""
+    """(A, c(t)) with dm/dt = A m + c(t) and dV/dt = A V + V A^T, the oracle's
+    Generator: one constant (6, 6) A and c of shape t.shape + (6,)."""
     return drift_matrix(params), drive_vector(params, t)
 
 

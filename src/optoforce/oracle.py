@@ -3,7 +3,7 @@
 Two deliberately separate code paths back every closed form in the package:
 
 * fixed-step RK4 integration of the affine propagator x -> M x + d of
-  dx/dt = A x + c(t), as one augmented matrix ODE Y' = [[A, c], [0, 0]] Y;
+  dx/dt = A x + c(t), A constant, as the augmented ODE Y' = [[A, c], [0, 0]] Y;
   the moments are read off it as m = M m0 + d and V = M V0 M^T, for one
   state or a stack of states; integrate_propagator_track composes the runs
   of a forward track's segments, each planned by its caller with its own
@@ -16,8 +16,9 @@ Two deliberately separate code paths back every closed form in the package:
 
 The RK4 stepper works in blocks of at most _BLOCK_STEPS steps.  Per block it
 samples the generator once, on the array of the block's stage times, forms
-each step's increment D_k (one RK4 step is Y -> (1 + D_k) Y) with batched
-matmuls, and composes the increments in time order, pairwise, as
+each step's increment D_k (one RK4 step is Y -> (1 + D_k) Y) from its stages'
+drift parts, products of A alone formed once per block, and drive parts, one
+row per step, and composes the increments in time order, pairwise, as
 (1 + D_b)(1 + D_a) = 1 + (D_a + D_b + D_b D_a).  The identity is added once,
 at the end: forming 1 + D_k in double precision would round the same way
 every step and the non-normal transient would amplify it.
@@ -33,15 +34,15 @@ from typing import Callable
 
 import numpy as np
 
-#: t -> (A, c(t)) on a 1-D array of k times: A broadcastable to (k, dim, dim)
-#: and c to (k, dim)
+#: t -> (A, c(t)) on a 1-D array of k times: one constant (dim, dim) drift A,
+#: the same at every time, and a drive c that broadcasts to (k, dim)
 Generator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _MAX_CUTOFF = 600
 #: Largest neglected Fock-tail weight of the Fock oracle's cutoff
 _TAIL_TOL = 1e-12
 _STEP_SAFETY = 0.1
-#: RK4 steps per block: one generator call and one batch of stage matmuls
+#: RK4 steps per block: one generator call and one set of stage products
 #: each.  Longer blocks lose precision: on the cavityless propagator at
 #: theta/chi = 1.01, Omega/Theta = 12, Theta t = 2 pi in 6299 steps, M deviates
 #: from the closed form by 2.9e-11 with 256-step blocks, 2.6e-10 with 1024
@@ -49,22 +50,12 @@ _STEP_SAFETY = 0.1
 _BLOCK_STEPS = 256
 
 
-def _augmented(generator: Generator, dim: int, times) -> np.ndarray:
-    """The generators [[A, c], [0, 0]] at each of the times, shape (k, dim+1, dim+1)."""
-    times = np.asarray(times, dtype=float)
-    a, c = generator(times)
-    g = np.zeros((times.size, dim + 1, dim + 1))
-    g[:, :dim, :dim] = a
-    g[:, :dim, dim] = c
-    return g
-
-
 @dataclass(frozen=True)
 class OdeSpec:
-    """Fixed-step RK4 problem: generator t -> (A, c) on an array of times
-    (see Generator), horizon and step count; an A(0) or c(0) that is not
-    finite is refused by name, and a step with ||A(0)|| h >= _STEP_SAFETY,
-    naming the step count it needs."""
+    """Fixed-step RK4 problem: generator t -> (A, c) (see Generator), horizon
+    and step count.  An A that is not one (dim, dim) matrix (a per-time
+    stack) does not match dim; an A or c(0) that is not finite is refused by
+    name, and a step with ||A|| h >= _STEP_SAFETY, naming the steps it needs."""
 
     dim: int
     generator: Generator
@@ -77,12 +68,12 @@ class OdeSpec:
         if self.n_steps < 100:
             raise ValueError("n_steps must be >= 100")
         a, c = self.generator(np.zeros(1))
-        if np.shape(a)[-2:] != (self.dim, self.dim) or np.shape(c)[-1:] != (self.dim,):
+        if np.shape(a) != (self.dim, self.dim) or np.shape(c)[-1:] != (self.dim,):
             raise ValueError("generator output does not match dim")
         for name, value in (("A", a), ("c", c)):
             if not np.isfinite(value).all():
                 raise ValueError(f"generator: {name} at t = 0 is not finite")
-        norm = np.linalg.norm(np.reshape(a, (-1, self.dim, self.dim))[0], 2)
+        norm = np.linalg.norm(a, 2)
         step = norm * abs(self.t_final / self.n_steps)
         if step >= _STEP_SAFETY:
             needed = int(np.ceil(norm * abs(self.t_final) / _STEP_SAFETY)) + 1
@@ -103,32 +94,27 @@ def _compose(incs: np.ndarray) -> np.ndarray:
     return incs[0]
 
 
-def _stage(g: np.ndarray, k: np.ndarray, step: float) -> np.ndarray:
-    """g (1 + step k) = g + step g k, formed in place of the product."""
-    out = g @ k
-    out *= step
-    out += g
-    return out
-
-
 def _increments(spec: OdeSpec, k0: int, m: int) -> np.ndarray:
     """The one-step increments D_k of steps k0 .. k0 + m - 1, shape (m, dim+1, dim+1).
 
-    The stage stacks are combined in place: a block's temporaries set the
-    oracle's peak memory."""
+    Stage K_j = [[X_j, y_j], [0, 0]] has the drift part X_j = A (1 + step X_j-1),
+    the same every step, and the drive part y_j = c + step A y_j-1, one row each."""
     h = spec.t_final / spec.n_steps
-    g = _augmented(spec.generator, spec.dim, (2 * k0 + np.arange(2 * m + 1)) * (h / 2.0))
-    g0, g_half, g1 = g[0:-1:2], g[1::2], g[2::2]
-    k2 = _stage(g_half, g0, h / 2.0)
-    k3 = _stage(g_half, k2, h / 2.0)
-    k4 = _stage(g1, k3, h)
-    # (h/6)(K1 + 2 K2 + 2 K3 + K4), summed in place
-    k2 += k3
-    k2 *= 2.0
-    k2 += g0
-    k2 += k4
-    k2 *= h / 6.0
-    return k2
+    times = (2 * k0 + np.arange(2 * m + 1)) * (h / 2.0)
+    a, c = spec.generator(times)
+    c = np.broadcast_to(c, (times.size, spec.dim))
+    c0, c_half, c1 = c[0:-1:2], c[1::2], c[2::2]
+    x2 = a + (h / 2.0) * (a @ a)
+    x3 = a + (h / 2.0) * (a @ x2)
+    x4 = a + h * (a @ x3)
+    y2 = c_half + (h / 2.0) * (c0 @ a.T)
+    y3 = c_half + (h / 2.0) * (y2 @ a.T)
+    y4 = c1 + h * (y3 @ a.T)
+    # D = (h/6)(K1 + 2 K2 + 2 K3 + K4), its drift and drive parts apart
+    incs = np.zeros((m, spec.dim + 1, spec.dim + 1))
+    incs[:, : spec.dim, : spec.dim] = (h / 6.0) * (2.0 * (x2 + x3) + a + x4)
+    incs[:, : spec.dim, spec.dim] = (h / 6.0) * (2.0 * (y2 + y3) + c0 + y4)
+    return incs
 
 
 def _affine_rk4(spec: OdeSpec) -> np.ndarray:

@@ -2,10 +2,10 @@ import types
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
-from optoforce import cavityless
+from optoforce import analysis, cavityless
 from optoforce import gaussian as g
 from optoforce import oracle
 
@@ -24,6 +24,25 @@ def test_ode_spec_validation():
         oracle.OdeSpec(2, gen, 1.0, 50)  # too few steps
     with pytest.raises(ValueError):
         oracle.OdeSpec(4, gen, 1.0, 1000)  # shape mismatch
+    # the oracle forms the stages' drift parts once per block, from one A
+    per_time = lambda t: (np.broadcast_to(gen(t)[0], np.shape(t) + (2, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="generator output does not match dim"):
+        oracle.OdeSpec(2, per_time, 1.0, 1000)
+
+
+@pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
+def test_scheme_generators_return_one_drift_and_a_drive_per_time(model):
+    # the contract the RK4 oracle relies on: one constant (d, d) drift, the
+    # same at t = 0 as on an array of times, and a drive of shape (k, d)
+    scheme = analysis.SCHEMES[model]
+    p = scheme.params_from_ratios(analysis.full_params(None))
+    d = len(scheme.readout_observable().coeffs)
+    times = np.linspace(0.0, 7.0, 5)
+    a0, _ = scheme.generator(p, 0.0)
+    a, c = scheme.generator(p, times)
+    assert np.shape(a0) == np.shape(a) == (d, d)
+    assert_array_equal(a, a0)
+    assert np.shape(c) == (times.size, d)
 
 
 @pytest.mark.parametrize("name", ["A", "c"])
@@ -135,13 +154,13 @@ def test_propagator_track_matches_runs_from_zero():
         assert_allclose(d, d_ref, atol=1e-12)
 
 
+#: a constant non-normal drift: A A^T != A^T A
+PARAMETRIC_DRIFT = np.array([[0.0, 1.3], [-0.7, -0.1]])
+
+
 def parametric_generator(t):
-    # A(t) and c(t) both time-dependent, on an array of times
-    a = np.zeros(np.shape(t) + (2, 2))
-    a[..., 0, 1] = 1.0 + 0.3 * np.sin(0.7 * t)
-    a[..., 1, 0] = -a[..., 0, 1]
-    a[..., 1, 1] = -0.1 * np.cos(t)
-    return a, np.stack([np.cos(2.0 * t), 0.5 * np.sin(t)], axis=-1)
+    # a constant non-normal A and a time-dependent c(t), on an array of times
+    return PARAMETRIC_DRIFT, np.stack([np.cos(2.0 * t), 0.5 * np.sin(t)], axis=-1)
 
 
 def stage_rk4_reference(gen, dim, t_final, n_steps):
@@ -150,7 +169,7 @@ def stage_rk4_reference(gen, dim, t_final, n_steps):
     def aug(t):
         a, c = gen(np.array([t]))
         y = np.zeros((dim + 1, dim + 1))
-        y[:dim, :dim] = a[0]
+        y[:dim, :dim] = a
         y[:dim, dim] = c[0]
         return y
 
