@@ -51,25 +51,32 @@ def _finite(**fields) -> None:
 
 
 def full_params(params: dict | None) -> dict:
-    """DEFAULT_PARAMS updated by params; a key not in DEFAULT_PARAMS, or a
-    value that is not finite, is a ValueError."""
+    """DEFAULT_PARAMS updated by params, for every entry point and model: an
+    unknown key, a value not finite, theta/chi <= 1 or Omega/Theta <= 0 is a
+    ValueError naming it, in the CLI's text."""
     unknown = sorted(set(params or {}) - set(DEFAULT_PARAMS))
     if unknown:
         raise ValueError(f"params: unknown key {unknown[0]!r}; the keys are "
                          f"{', '.join(DEFAULT_PARAMS)}")
     params = {**DEFAULT_PARAMS, **(params or {})}
     _finite(**params)
+    if params["theta_over_chi"] <= 1.0:
+        raise ValueError("theta_over_chi: theta must exceed chi (theta/chi > 1 required)")
+    if params["omega_over_theta"] <= 0.0:
+        raise ValueError("omega_over_theta: must be positive")
     return params
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One curve at (s, n_th) over a grid of scaled time (Theta*t or Omega*t)."""
+    """One curve at (s, n_th) on points scaled times (Theta*t or Omega*t) from
+    tmin_scaled to tmax_scaled.  Fields and defaults are the CLI's keys and
+    defaults; a bad input is a ValueError naming it, in the CLI's text."""
 
     model: str
-    t_start: float = 0.0
-    t_stop: float = 2.0 * np.pi
-    n_points: int = 401
+    tmin_scaled: float = 0.0
+    tmax_scaled: float = 2.0 * np.pi
+    points: int = 401
     s: float = 0.0
     n_th: float = 0.0
     params: dict = field(default_factory=dict)
@@ -78,13 +85,14 @@ class SweepSpec:
         object.__setattr__(self, "params", full_params(self.params))
         if self.model not in SCHEMES:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.n_points < 2:
-            raise ValueError("time grid needs at least 2 points")
-        _finite(t_start=self.t_start, t_stop=self.t_stop, s=self.s, n_th=self.n_th)
-        if self.t_start < 0 or self.t_stop <= self.t_start:
-            raise ValueError("times must be nonnegative and increasing")
+        _finite(s=self.s, n_th=self.n_th, tmin_scaled=self.tmin_scaled,
+                tmax_scaled=self.tmax_scaled)
         if self.n_th < 0:
             raise ValueError("n_th: thermal occupation must be nonnegative")
+        if self.points < 2:
+            raise ValueError("points: time grid needs at least 2 points")
+        if self.tmin_scaled < 0 or self.tmax_scaled <= self.tmin_scaled:
+            raise ValueError("tmax_scaled: times must satisfy 0 <= tmin_scaled < tmax_scaled")
 
 
 @dataclass(frozen=True)
@@ -249,8 +257,8 @@ def _sweep_curves(spec: SweepSpec, meters: list) -> list[SensitivityCurve]:
     on one forward RK4 track through the quarter points of the grid."""
     scheme = SCHEMES[spec.model]
     p = scheme.params_from_ratios(spec.params)
-    n = spec.n_points
-    t_scaled = np.linspace(spec.t_start, spec.t_stop, n)
+    n = spec.points
+    t_scaled = np.linspace(spec.tmin_scaled, spec.tmax_scaled, n)
     times = t_scaled / scheme.time_unit(p)
 
     # rows round(k (n - 1)/4), k = 0..4, with row 0 moved to row 1: an odd
@@ -275,17 +283,18 @@ def run_sweep(spec: SweepSpec) -> SensitivityCurve:
 
 
 def fig2_curves(
-    params: dict | None = None, n_points: int = 401, models=tuple(SCHEMES)
+    params: dict | None = None, points: int = SweepSpec.points, models=tuple(SCHEMES)
 ) -> list[SensitivityCurve]:
     """The Fig.-2 style curves, (s, n_th) in the caption triple FIG2_CASES,
-    to twice the disentangling time: six with both models.  A model's three
-    curves share their grid, so one forward RK4 track through its quarter
-    points certifies them, row by row and at each row meter by meter."""
+    on points scaled times to twice the disentangling time, with params and
+    points checked by SweepSpec: six with both models.  A model's three curves
+    share their grid, so one forward RK4 track through its quarter points
+    certifies them, row by row and at each row meter by meter."""
     return [
         curve
         for model in models
         for curve in _sweep_curves(
-            SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, n_points, params=params),
+            SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, points, params=params),
             FIG2_CASES)
     ]
 

@@ -86,7 +86,7 @@ class CavitylessParams:
         if self.chi <= 0:
             raise ValueError("chi must be positive")
         if self.theta <= self.chi:
-            raise ValueError("theta must exceed chi (theta/chi >= 1 by construction)")
+            raise ValueError("theta must exceed chi (theta/chi > 1 required)")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         ratio = self.omega**2 / self.Theta**2

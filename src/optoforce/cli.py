@@ -10,6 +10,9 @@ floats carry 17 significant digits and JSON floats are the shortest round-trip
 lowercase "inf"/"nan", strings in JSON.  Every f_min the CLI writes (a sweep
 or fig2 row, the sql value, a power-scaling row) is a sweep row: computed by
 the scheme's readout, checked by the same finiteness test and RK4-spot-checked.
+Each input is checked once, and named by its key: format and model here, the
+numbers in analysis, by full_params (which parse_config calls) and by the spec
+a command builds (sweep, sql and power-scaling before they resolve -o).
 Exit codes: 0 success, 1 validation failure (an unhealthy ledger or a failed
 spot-check), 2 invalid input or a result outside its domain (overflow, negative
 variance, a time grid too large for memory or spot-checks too long for the RK4
@@ -35,19 +38,17 @@ OUTDIR_ENV = "OPTOFORCE_OUTDIR"
 
 CSV_HEADER = "t_scaled,signal_per_f,noise,snr_per_f,f_min"
 
+# one name, one default and one check per input: the scheme ratios and the
+# sweep inputs are analysis's, which refuses them when it builds a spec
 DEFAULTS = {
     **analysis.DEFAULT_PARAMS,
-    "s": 0.0,
-    "n_th": 0.0,
-    "tmin_scaled": 0.0,
-    "tmax_scaled": 2.0 * math.pi,
-    "points": 401,
+    **{key: getattr(analysis.SweepSpec, key)
+       for key in ("s", "n_th", "tmin_scaled", "tmax_scaled", "points")},
     "model": None,
     "format": "csv",
     "out": None,
 }
 
-_FLOAT_KEYS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, float))
 _FORMATS = ("csv", "json")
 
 
@@ -87,36 +88,9 @@ def parse_config_file(text: str, command: str) -> dict:
     return out
 
 
-def _validate(cfg: dict, command: str) -> None:
-    for key in _FLOAT_KEYS:
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key}: must be finite, got {cfg[key]!r}")
-    if cfg["theta_over_chi"] <= 1.0:
-        raise ConfigError(
-            "theta_over_chi: theta must exceed chi (theta/chi > 1 required)"
-        )
-    if cfg["omega_over_theta"] <= 0.0:
-        raise ConfigError("omega_over_theta: must be positive")
-    if cfg["n_th"] < 0.0:
-        raise ConfigError("n_th: thermal occupation must be nonnegative")
-    if cfg["points"] < 2:
-        raise ConfigError("points: time grid needs at least 2 points")
-    if cfg["tmin_scaled"] < 0.0 or cfg["tmax_scaled"] <= cfg["tmin_scaled"]:
-        raise ConfigError(
-            "tmax_scaled: times must satisfy 0 <= tmin_scaled < tmax_scaled"
-        )
-    if cfg["format"] not in _FORMATS:
-        raise ConfigError(f"format: unknown format {cfg['format']!r}")
-    spec = COMMANDS[command]
-    if cfg["model"] is None:
-        cfg["model"] = spec.model
-    elif cfg["model"] not in spec.models:
-        raise ConfigError(f"model: {cfg['model']!r} not valid for {command}")
-
-
 def parse_config(argv: list[str]) -> argparse.Namespace:
     """Merge CLI flags over config file over defaults: every DEFAULTS key, the
-    command, and the scheme ratios again as ``params``."""
+    command, and the scheme ratios again as ``params``, from full_params."""
     ns = build_parser().parse_args(argv)
     cfg = dict(DEFAULTS)
     if ns.config is not None:
@@ -127,8 +101,14 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
             raise ConfigError(f"config: cannot read {ns.config}: {exc}") from None
     cfg.update((key, value) for key, value in vars(ns).items()
                if key in DEFAULTS and value is not None)
-    _validate(cfg, ns.command)
-    params = {key: cfg[key] for key in analysis.DEFAULT_PARAMS}
+    params = analysis.full_params({key: cfg[key] for key in analysis.DEFAULT_PARAMS})
+    if cfg["format"] not in _FORMATS:
+        raise ConfigError(f"format: unknown format {cfg['format']!r}")
+    spec = COMMANDS[ns.command]
+    if cfg["model"] is None:
+        cfg["model"] = spec.model
+    elif cfg["model"] not in spec.models:
+        raise ConfigError(f"model: {cfg['model']!r} not valid for {ns.command}")
     return argparse.Namespace(command=ns.command, params=params, **cfg)
 
 
@@ -301,10 +281,10 @@ def _curve_summary(curve: analysis.SensitivityCurve) -> str:
 
 
 def _cmd_sweep(cfg: argparse.Namespace) -> int:
-    out = _out_file(cfg, f"sweep_{cfg.model}.{cfg.format}")
     spec = analysis.SweepSpec(
         cfg.model, cfg.tmin_scaled, cfg.tmax_scaled, cfg.points, cfg.s, cfg.n_th, cfg.params
     )
+    out = _out_file(cfg, f"sweep_{cfg.model}.{cfg.format}")
     curve = analysis.run_sweep(spec)
     _atomic_write(out, emit_curve(curve, cfg.format))
     print(f"sweep {cfg.model}: {_curve_summary(curve)} -> {out}")
@@ -326,12 +306,10 @@ def _cmd_fig2(cfg: argparse.Namespace) -> int:
 
 def _cmd_power_scaling(cfg: argparse.Namespace) -> int:
     models = list(analysis.SCHEMES) if cfg.model == "both" else [cfg.model]
-    outdir = _outdir(cfg)
     multipliers = tuple(np.logspace(-2, 2, 41))
-    tables = [
-        analysis.power_scaling(analysis.PowerScalingSpec(model, multipliers, cfg.params, cfg.s))
-        for model in models
-    ]
+    specs = [analysis.PowerScalingSpec(model, multipliers, cfg.params, cfg.s) for model in models]
+    outdir = _outdir(cfg)
+    tables = [analysis.power_scaling(spec) for spec in specs]
     for table in tables:
         data = _emit_table(
             {"power_multiplier": table["multipliers"], "f_min": table["f_min"],
@@ -365,11 +343,11 @@ def _cmd_validate(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_sql(cfg: argparse.Namespace) -> int:
-    out = _out_file(cfg, f"sql_{cfg.model}.{cfg.format}")
     # the last row of a two-point sweep to the disentangling time, with vacuum
     # meter and zero-temperature probe: checked and spot-checked like any row
     spec = analysis.SweepSpec(cfg.model, 0.0, analysis.SCHEMES[cfg.model].T_STAR, 2,
                               0.0, 0.0, cfg.params)
+    out = _out_file(cfg, f"sql_{cfg.model}.{cfg.format}")
     curve = analysis.run_sweep(spec)
     t_scaled, value = float(curve.t_scaled[-1]), float(curve.f_min[-1])
     if cfg.format == "csv":

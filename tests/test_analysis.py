@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,50 @@ import referee
 import spectrum_helpers as sh
 
 
+TIMES = "^tmax_scaled: times must satisfy 0 <= tmin_scaled < tmax_scaled$"
+
+
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown model 'ring'$"):
         analysis.SweepSpec("ring")
-    with pytest.raises(ValueError):
-        analysis.SweepSpec("cavity", n_points=1)
-    with pytest.raises(ValueError):
-        analysis.SweepSpec("cavity", t_start=2.0, t_stop=1.0)
+    with pytest.raises(ValueError, match="^points: time grid needs at least 2 points$"):
+        analysis.SweepSpec("cavity", points=1)
+    with pytest.raises(ValueError, match=TIMES):
+        analysis.SweepSpec("cavity", tmin_scaled=2.0, tmax_scaled=1.0)
+    with pytest.raises(ValueError, match=TIMES):
+        analysis.SweepSpec("cavity", tmin_scaled=1.0, tmax_scaled=1.0)
+    with pytest.raises(ValueError, match=TIMES):
+        analysis.SweepSpec("cavity", tmin_scaled=-1.0)
+
+
+# the ratio domain, theta/chi > 1 and Omega/Theta > 0, in the CLI's text: every
+# entry point refuses it for both models, before any readout and without a
+# floating-point warning
+THETA = r"^theta_over_chi: theta must exceed chi \(theta/chi > 1 required\)$"
+OMEGA = "^omega_over_theta: must be positive$"
+RATIO_DOMAIN = [("theta_over_chi", 1.0, THETA), ("theta_over_chi", 0.5, THETA),
+                ("omega_over_theta", 0.0, OMEGA), ("omega_over_theta", -2.0, OMEGA)]
+ENTRY_POINTS = {
+    "run_sweep": lambda model, params: analysis.run_sweep(
+        analysis.SweepSpec(model, 0.0, 3.14, 3, params=params)),
+    "power_scaling": lambda model, params: analysis.power_scaling(
+        analysis.PowerScalingSpec(model, (1.0,), params)),
+    "fig2_curves": lambda model, params: analysis.fig2_curves(params, 41, (model,)),
+    "validation_ledger": lambda model, params: analysis.validation_ledger(params),
+}
+
+
+@pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("ratio, value, message", RATIO_DOMAIN,
+                         ids=[f"{ratio}={value}" for ratio, value, _ in RATIO_DOMAIN])
+def test_entry_points_refuse_the_ratio_domain(ratio, value, message, entry, model,
+                                              monkeypatch):
+    for scheme in analysis.SCHEMES.values():
+        monkeypatch.setattr(scheme, "readout", lambda *args: pytest.fail("readout ran"))
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+        warnings.simplefilter("error", RuntimeWarning)
+        ENTRY_POINTS[entry](model, {ratio: value})
 
 
 def _not_finite(field, bad):
@@ -31,7 +70,8 @@ def _not_finite(field, bad):
 # closed forms
 @pytest.mark.parametrize("model", sorted(analysis.SCHEMES))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["t_start", "t_stop", "s", "n_th", *analysis.DEFAULT_PARAMS])
+@pytest.mark.parametrize("field", ["tmin_scaled", "tmax_scaled", "s", "n_th",
+                                   *analysis.DEFAULT_PARAMS])
 def test_sweep_spec_names_a_value_that_is_not_finite(model, bad, field):
     with pytest.raises(ValueError, match=f"^{field}: must be finite, got {bad!r}$"):
         analysis.SweepSpec(model, **_not_finite(field, bad))
@@ -51,7 +91,7 @@ def test_power_scaling_spec_names_a_value_that_is_not_finite(model, bad, field):
 @pytest.mark.parametrize("params", [{}, {"g_alpha_over_omega": 1.0}])
 def test_sweep_spec_names_a_negative_n_th(model, params):
     with pytest.raises(ValueError, match="^n_th: thermal occupation must be nonnegative$"):
-        analysis.SweepSpec(model, n_points=41, n_th=-1.0, params=params)
+        analysis.SweepSpec(model, points=41, n_th=-1.0, params=params)
 
 
 def test_sweep_spec_merges_params_over_the_defaults():
@@ -237,7 +277,7 @@ def test_run_sweep_rejects_non_finite_values():
 
 
 def test_fig2_curves():
-    curves = analysis.fig2_curves(n_points=41)
+    curves = analysis.fig2_curves(points=41)
     assert len(curves) == 6
     labels = {(c.model, c.s, c.n_th) for c in curves}
     assert ("cavityless", 0.0, 0.0) in labels

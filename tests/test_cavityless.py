@@ -23,8 +23,11 @@ def test_from_ratios():
 def test_param_validation():
     with pytest.raises(ValueError):
         cl.CavitylessParams(chi=0.0, theta=1.0, omega=5.0)
-    with pytest.raises(ValueError):
-        cl.CavitylessParams(chi=1.0, theta=0.9, omega=5.0)
+    # theta = chi is refused too: the check is strict
+    for theta in (0.9, 1.0):
+        with pytest.raises(ValueError,
+                           match=r"^theta must exceed chi \(theta/chi > 1 required\)$"):
+            cl.CavitylessParams(chi=1.0, theta=theta, omega=5.0)
     with pytest.raises(ValueError):
         cl.CavitylessParams(chi=1.0, theta=1.5, omega=-1.0)
     with pytest.warns(UserWarning, match="validity regime"):

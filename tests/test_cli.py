@@ -121,7 +121,7 @@ CONFIG_ERRORS = [
     ("sweep", "f = 2\n", "config line 1: unknown key 'f'"),
     ("fig2", "points = 41\ns = 2\n", "config line 2: fig2 does not take 's'"),
     ("validate", "model = cavity\n", "config line 1: validate does not take 'model'"),
-    # values argparse refuses as flags: from a config file, _validate refuses them
+    # values argparse refuses as flags: from a config file, parse_config refuses them
     ("sweep", "format = xml\n", "format: unknown format 'xml'"),
     ("sweep", "model = both\n", "model: 'both' not valid for sweep"),
     ("sql", "model = both\n", "model: 'both' not valid for sql"),
@@ -140,19 +140,61 @@ def test_config_key_the_command_does_not_take(command, text, message, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
-def test_validation_messages_name_the_field():
-    cases = [
-        (["sweep", "--theta-over-chi", "0.9"], "theta_over_chi"),
-        (["sweep", "--omega-over-theta", "-1"], "omega_over_theta"),
-        (["sweep", "--n-th", "-1"], "n_th"),
-        (["sweep", "--points", "1"], "points"),
-        (["sweep", "--tmax-scaled", "0"], "tmax_scaled"),
-        (["fig2", "--model", "cavityless", "--format", "csv",
-          "--g-alpha-over-omega", "inf"], "g_alpha_over_omega"),
-    ]
-    for argv, field in cases:
-        with pytest.raises(cli.ConfigError, match=field):
-            cli.parse_config(argv)
+THETA = "theta_over_chi: theta must exceed chi (theta/chi > 1 required)"
+OMEGA = "omega_over_theta: must be positive"
+NTH = "n_th: thermal occupation must be nonnegative"
+POINTS = "points: time grid needs at least 2 points"
+TIMES = "tmax_scaled: times must satisfy 0 <= tmin_scaled < tmax_scaled"
+
+# Every input refused before any work, by its key: the scheme ratios by
+# analysis.full_params, the sweep inputs when a command builds its spec
+REFUSED_INPUTS = [
+    *[(key, value, f"{key}: must be finite, got {value}")
+      for key in ("theta_over_chi", "omega_over_theta", "g_alpha_over_omega", "s", "n_th",
+                  "tmin_scaled", "tmax_scaled")
+      for value in ("nan", "inf")],
+    ("theta_over_chi", "1", THETA),
+    ("theta_over_chi", "0.5", THETA),
+    ("omega_over_theta", "0", OMEGA),
+    ("omega_over_theta", "-2", OMEGA),
+    ("n_th", "-1", NTH),
+    ("points", "1", POINTS),
+    ("tmin_scaled", "-1", TIMES),
+    ("tmax_scaled", "0", TIMES),
+    ("tmax_scaled", "-1", TIMES),
+]
+# each on every command that takes it; then inputs refused before an -o that
+# names an existing directory where a file is written, or a file where a
+# directory is
+REFUSED_CASES = [
+    *[([command, "--" + key.replace("_", "-"), value], message)
+      for key, value, message in REFUSED_INPUTS
+      for command, spec in cli.COMMANDS.items() if key in spec.keys],
+    (["sweep", "--points", "1", "-o", "DIR"], POINTS),
+    (["sql", "--omega-over-theta", "0", "-o", "DIR"], OMEGA),
+    (["validate", "--theta-over-chi", "0.5", "-o", "DIR"], THETA),
+    (["fig2", "--theta-over-chi", "1", "-o", "FILE"], THETA),
+    (["power-scaling", "--s", "nan", "-o", "FILE"], "s: must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_CASES,
+                         ids=[" ".join(argv) for argv, _ in REFUSED_CASES])
+def test_validation_messages_name_the_field(argv, message, tmp_path, monkeypatch, capsys):
+    calls = []
+    for scheme in cli.analysis.SCHEMES.values():
+        monkeypatch.setattr(scheme, "readout", lambda *args: calls.append("readout"))
+    for name in ("integrate_propagator", "integrate_moments", "integrate_propagator_track"):
+        monkeypatch.setattr(cli.analysis.oracle, name,
+                            lambda *args, name=name: calls.append(name))
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("keep")
+    argv = [str(tmp_path / a) if a in ("DIR", "FILE") else a for a in argv]
+    code, out, err = run_cli(argv, tmp_path, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["DIR", "FILE"]
+    assert (tmp_path / "FILE").read_text() == "keep"
 
 
 def test_model_defaults_per_command():
