@@ -60,10 +60,7 @@ def full_params(params: dict | None) -> dict:
                          f"{', '.join(DEFAULT_PARAMS)}")
     params = {**DEFAULT_PARAMS, **(params or {})}
     _finite(**params)
-    if params["theta_over_chi"] <= 1.0:
-        raise ValueError("theta_over_chi: theta must exceed chi (theta/chi > 1 required)")
-    if params["omega_over_theta"] <= 0.0:
-        raise ValueError("omega_over_theta: must be positive")
+    cavityless.check_ratios(params["theta_over_chi"], params["omega_over_theta"])
     return params
 
 
@@ -167,12 +164,12 @@ def _columns(scheme, model: str, params: list, times: list, s: float, n_th: floa
     return sig, noi, fmin, snr
 
 
-def _track_plans(check: str, model: str, tracks: list) -> list:
+def _track_plans(check: str, model: str, tracks: list) -> list[list[oracle.OdeSpec]]:
     """Plan a certificate's forward tracks, (params, sorted times) pairs: per
-    time, one OdeSpec argument triple (generator, span, steps) for the
-    segment from the time before (0 for the first), on the generator shifted
-    to start there; an equal time gives a span of 0.  Every RK4 run of a
-    certificate steps through these plans.
+    time, one oracle.OdeSpec for the segment from the time before (0 for the
+    first), on the generator shifted to start there, with dim read off the
+    track's drift; an equal time gives a span of 0.  Every RK4 run of a
+    certificate steps through these specs.
 
     A segment of span dt takes max(1000, ceil(max(||A||, Omega/10) dt/0.01))
     steps, ||A|| read once per track, as A is constant: ||A|| h <= 0.01 keeps
@@ -181,19 +178,18 @@ def _track_plans(check: str, model: str, tracks: list) -> list:
     drift that is not finite takes inf steps (its SVD would make LAPACK print
     to stderr).  Before any RK4 step, a StepBudgetError names the inputs if
     the summed steps exceed RK4_STEP_BUDGET: the longest track (of equal
-    ones, the latest) by its params and last time."""
+    ones, the latest) by its params and last time.  Only then are the specs
+    built: A and c(0) are finite and ||A|| h <= 0.01, within OdeSpec's checks."""
     scheme = SCHEMES[model]
     plans = []
     for p, ts in tracks:
         drift = scheme.generator(p, 0.0)[0]
         rate = max(np.linalg.norm(drift, 2), p.omega / 10) if np.isfinite(drift).all() else None
-        plan, t0 = [], 0.0
-        for t in ts:
-            n = np.inf if rate is None else max(1000, int(np.ceil(rate * (t - t0) / 0.01)))
-            plan.append((lambda tau, p=p, t0=t0: scheme.generator(p, t0 + tau), t - t0, n))
-            t0 = t
-        plans.append(plan)
-    steps = [sum(n for _, _, n in plan) for plan in plans]
+        spans = list(zip([0.0, *ts[:-1]], ts))
+        plans.append((p, len(drift), spans, [
+            np.inf if rate is None else max(1000, int(np.ceil(rate * (t - t0) / 0.01)))
+            for t0, t in spans]))
+    steps = [sum(ns) for *_, ns in plans]
     if sum(steps) > RK4_STEP_BUDGET:
         k = max(range(len(tracks)), key=lambda k: (steps[k], tracks[k][1][-1]))
         p, ts = tracks[k]
@@ -202,7 +198,9 @@ def _track_plans(check: str, model: str, tracks: list) -> list:
             f"steps, over the budget of {RK4_STEP_BUDGET:.3g} (model={model} {p}); "
             "the oracle cannot certify a time span this long at these parameters"
         )
-    return plans
+    return [[oracle.OdeSpec(dim, lambda tau, p=p, t0=t0: scheme.generator(p, t0 + tau),
+                            t - t0, n) for (t0, t), n in zip(spans, ns)]
+            for p, dim, spans, ns in plans]
 
 
 def _certified_rows(model: str, params: list, times: list, meters: list,
@@ -227,13 +225,13 @@ def _certified_rows(model: str, params: list, times: list, meters: list,
                          [(params[rows[0]], [times[i] for i in rows]) for rows in tracks])
 
     obs = scheme.readout_observable().coeffs
-    for rows, plan in zip(tracks, plans):
+    for rows, specs in zip(tracks, plans):
         p = params[rows[0]]
         states = [scheme.meter_state(p, times[i], s, n_th) for i in rows for s, n_th in meters]
         mean = np.array([m.mean for m in states])
         cov = np.array([m.cov for m in states])
-        for i, seg in zip(rows, plan):
-            mean, cov = oracle.integrate_moments(oracle.OdeSpec(len(obs), *seg), mean, cov)
+        for i, spec in zip(rows, specs):
+            mean, cov = oracle.integrate_moments(spec, mean, cov)
             for j, ((s, n_th), (sig, noi, _, _)) in enumerate(zip(meters, columns)):
                 sig_rk = float(obs @ mean[j])
                 noise_rk = float(obs @ cov[j] @ obs)
@@ -388,7 +386,7 @@ def _track_deviation(model: str, p, t_grid, plan) -> tuple[float, list]:
     """The largest |RK4 - closed| entry of the pairs (M, d) at the times of
     t_grid, and the RK4 d, on the track that _track_plans planned there."""
     scheme = SCHEMES[model]
-    track = oracle.integrate_propagator_track(len(scheme.readout_observable().coeffs), plan)
+    track = oracle.integrate_propagator_track(plan)
     return _max([np.max(np.abs(rk - cf)) for t, *pair in zip(t_grid, *track)
                  for rk, cf in zip(pair, scheme.closed_propagator(p, t))]), track[1]
 

@@ -58,6 +58,15 @@ def _below_sqrt_max(ratio: str, value: float, name: str, coupling: float) -> Non
                          f"overflows; theta and Omega must be below {_SQRT_MAX:.3g}")
 
 
+def check_ratios(theta_over_chi: float, omega_over_theta: float) -> None:
+    """ValueError naming the first ratio outside theta/chi > 1, Omega/Theta > 0
+    (a NaN is outside): from_ratios' domain, which full_params checks for both models."""
+    if not theta_over_chi > 1.0:
+        raise ValueError("theta_over_chi: theta must exceed chi (theta/chi > 1 required)")
+    if not omega_over_theta > 0.0:
+        raise ValueError("omega_over_theta: must be positive")
+
+
 def _Theta(theta: float, chi: float) -> float:
     """sqrt(theta^2 - chi^2) as a Python float, for Theta and from_ratios."""
     return float(np.sqrt(theta**2 - chi**2))
@@ -125,9 +134,11 @@ class CavitylessParams:
         """Build from the ratio-based parameterization with chi = CHI.
 
         omega_over_theta is Omega/Theta, with Theta = sqrt(theta^2 - chi^2).
-        A ratio that puts theta or Omega at or above _SQRT_MAX, where its
-        square overflows, is a ValueError that names it.
+        check_ratios refuses a ratio outside the domain before Theta is
+        computed, and a ratio that puts theta or Omega at or above
+        _SQRT_MAX, where its square overflows, is a ValueError that names it.
         """
+        check_ratios(theta_over_chi, omega_over_theta)
         theta = theta_over_chi * CHI
         _below_sqrt_max("theta_over_chi", theta_over_chi, "theta", theta)
         omega = omega_over_theta * _Theta(theta, CHI)

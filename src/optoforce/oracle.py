@@ -5,9 +5,10 @@ Two deliberately separate code paths back every closed form in the package:
 * fixed-step RK4 integration of the affine propagator x -> M x + d of
   dx/dt = A x + c(t), A constant, as the augmented ODE Y' = [[A, c], [0, 0]] Y;
   the moments are read off it as m = M m0 + d and V = M V0 M^T, for one
-  state or a stack of states; integrate_propagator_track composes the runs
-  of a forward track's segments, each planned by its caller with its own
-  time-shifted generator and step count, into (M, d) at each segment's end,
+  state or a stack of states; integrate_propagator_track runs a forward
+  track given as its segments' OdeSpecs, each with its own time-shifted
+  generator and step count, and composes them into (M, d) at each
+  segment's end,
 * truncated Fock-space moments of the initial states, one function per
   family: thermal_moments(n_bar), tmsv_moments(s) for the two-mode squeezed
   vacuum and squeezed_moments(s, phi) for the single-mode squeezed vacuum.
@@ -117,9 +118,9 @@ def _increments(spec: OdeSpec, k0: int, m: int) -> np.ndarray:
     return incs
 
 
-def _affine_rk4(spec: OdeSpec) -> np.ndarray:
-    """RK4 solution Y(t_final) of the augmented affine propagator
-    Y' = [[A, c(t)], [0, 0]] Y with Y(0) = 1, so Y = [[M, d], [0, 1]].
+def integrate_propagator(spec: OdeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 solution (M, d) of M' = A M, d' = A d + c with M(0) = 1, d(0) = 0,
+    read off Y = [[M, d], [0, 1]], which solves Y' = [[A, c(t)], [0, 0]] Y, Y(0) = 1.
 
     Step k maps Y to (1 + D_k) Y with D_k = (h/6)(K1 + 2 K2 + 2 K3 + K4),
     K1 = G0, K2 = G_half (1 + h/2 K1), K3 = G_half (1 + h/2 K2) and
@@ -129,12 +130,7 @@ def _affine_rk4(spec: OdeSpec) -> np.ndarray:
     for k0 in range(0, spec.n_steps, _BLOCK_STEPS):
         block = _compose(_increments(spec, k0, min(_BLOCK_STEPS, spec.n_steps - k0)))
         total = total + block + block @ total
-    return np.eye(spec.dim + 1) + total
-
-
-def integrate_propagator(spec: OdeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 solution of M' = A M, d' = A d + c with M(0) = 1, d(0) = 0."""
-    y = _affine_rk4(spec)
+    y = np.eye(spec.dim + 1) + total
     return y[: spec.dim, : spec.dim], y[: spec.dim, spec.dim]
 
 
@@ -153,20 +149,17 @@ def integrate_moments(
     return mean, 0.5 * (v + np.swapaxes(v, -1, -2))
 
 
-def integrate_propagator_track(
-    dim: int, segments: list
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def integrate_propagator_track(specs: list) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """RK4 propagators (M, d) at the end of each segment of a forward track:
-    one integrate_propagator run per OdeSpec argument triple (generator
-    shifted to the segment's start, span, n_steps), composed in time order
-    as M <- M_k M, d <- M_k d + d_k."""
+    one integrate_propagator run per OdeSpec of specs, each planned on the
+    generator shifted to its segment's start, composed in time order as
+    M <- M_k M, d <- M_k d + d_k from M = 1, d = 0."""
     mats, disps = [], []
-    m, d = np.eye(dim), np.zeros(dim)
-    for seg in segments:
-        ms, ds = integrate_propagator(OdeSpec(dim, *seg))
-        m, d = ms @ m, ms @ d + ds
-        mats.append(m)
-        disps.append(d)
+    for spec in specs:
+        m, d = (mats[-1], disps[-1]) if mats else (np.eye(spec.dim), np.zeros(spec.dim))
+        ms, ds = integrate_propagator(spec)
+        mats.append(ms @ m)
+        disps.append(ms @ d + ds)
     return mats, disps
 
 

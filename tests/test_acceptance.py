@@ -21,11 +21,11 @@ CV = cavity.CavityParams.from_ratios(0.2)
 N_TIME_POINTS = 200
 
 
-def track_segments(generator, times):
-    """100-step segments of a forward track through times, from t = 0, each
-    on the generator shifted to start at the time before."""
+def track_segments(dim, generator, times):
+    """The 100-step OdeSpecs of a forward track through times, from t = 0,
+    each on the generator shifted to start at the time before."""
     starts = np.concatenate([[0.0], times[:-1]])
-    return [(lambda tau, t0=t0: generator(t0 + tau), t - t0, 100)
+    return [oracle.OdeSpec(dim, lambda tau, t0=t0: generator(t0 + tau), t - t0, 100)
             for t0, t in zip(starts, times)]
 
 
@@ -33,7 +33,7 @@ def test_criterion_01_cavityless_propagator_vs_rk4():
     start = time.perf_counter()
     times = np.linspace(0.0, 2 * np.pi, N_TIME_POINTS) / CL.Theta
     mats, disps = oracle.integrate_propagator_track(
-        6, track_segments(lambda t: cavityless.generator(CL, t), times)
+        track_segments(6, lambda t: cavityless.generator(CL, t), times)
     )
     dev = 0.0
     for t, m_rk, d_rk in zip(times, mats, disps):
@@ -50,7 +50,7 @@ def test_criterion_02_cavity_propagator_vs_rk4():
     start = time.perf_counter()
     times = np.linspace(0.0, 4 * np.pi, N_TIME_POINTS) / CV.omega
     mats, disps = oracle.integrate_propagator_track(
-        4, track_segments(lambda t: cavity.generator(CV, t), times)
+        track_segments(4, lambda t: cavity.generator(CV, t), times)
     )
     dev = 0.0
     for t, m_rk, d_rk in zip(times, mats, disps):

@@ -539,8 +539,7 @@ def test_ledger_force_response_false_alarm_is_the_rk4_track(monkeypatch, params)
     tracks = []
     integrate_track = analysis.oracle.integrate_propagator_track
     monkeypatch.setattr(analysis.oracle, "integrate_propagator_track",
-                        lambda dim, segments: tracks.append(integrate_track(dim, segments))
-                        or tracks[-1])
+                        lambda specs: tracks.append(integrate_track(specs)) or tracks[-1])
     by_name = {e["formula"]: e for e in analysis.validation_ledger(params)["entries"]}
     deviation = by_name["cavityless force response (sinh term)"]["engine_vs_adopted_max_deviation"]
     assert deviation > analysis.SPOT_CHECK_TOL

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,6 +37,21 @@ def test_param_validation():
     # every output is per unit force: the force strength is no field
     with pytest.raises(TypeError):
         cl.CavitylessParams(1.0, 1.1, 5.0, 2.0)
+
+
+def test_from_ratios_refuses_a_ratio_outside_its_domain_by_name():
+    # the ratios are checked before Theta = sqrt(theta^2 - chi^2) is taken,
+    # so theta/chi < 1 warns from no np.sqrt, and each text names its ratio;
+    # a NaN fails the check too
+    theta = r"^theta_over_chi: theta must exceed chi \(theta/chi > 1 required\)$"
+    omega = "^omega_over_theta: must be positive$"
+    cases = [(0.5, 10.3, theta), (1.0, 10.3, theta), (1.025, -2.0, omega), (1.025, 0.0, omega),
+             (np.nan, 10.3, theta), (1.025, np.nan, omega)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for theta_over_chi, omega_over_theta, message in cases:
+            with pytest.raises(ValueError, match=message):
+                cl.CavitylessParams.from_ratios(theta_over_chi, omega_over_theta)
 
 
 @pytest.mark.parametrize("field", ["chi", "theta", "omega"])

@@ -135,19 +135,22 @@ def test_moments_of_a_stack_match_one_run_per_state():
         assert_allclose(cov, v, rtol=1e-14, atol=0)
 
 
-def test_propagator_track_matches_runs_from_zero():
+@pytest.mark.parametrize("times", [[0.0, 0.4, 0.4, 1.5, 3.0], []], ids=["track", "empty"])
+def test_propagator_track_matches_runs_from_zero(times):
     # one forward pass of composed segments, each on the drive shifted to its
     # start, against a run from t = 0 at each time, for a time-dependent
-    # drive; a repeated time is a segment of span 0
+    # drive; a repeated time is a segment of span 0, and an empty track
+    # gives two empty lists
     a = np.array([[0.0, 1.3], [-1.3, 0.0]])
     gen = lambda t: (a, np.stack([np.cos(2.0 * t), np.full_like(t, 0.5)], axis=-1))
-    times = [0.0, 0.4, 0.4, 1.5, 3.0]
-    segments = [(lambda tau, t0=t0: gen(t0 + tau), t - t0, 1000)
-                for t0, t in zip([0.0] + times[:-1], times)]
-    mats, disps = oracle.integrate_propagator_track(2, segments)
+    specs = [oracle.OdeSpec(2, lambda tau, t0=t0: gen(t0 + tau), t - t0, 1000)
+             for t0, t in zip([0.0] + times[:-1], times)]
+    mats, disps = oracle.integrate_propagator_track(specs)
+    assert type(mats) is type(disps) is list
     assert len(mats) == len(disps) == len(times)
-    assert_allclose(mats[0], np.eye(2), atol=0.0)
-    assert_allclose(disps[0], 0.0, atol=0.0)
+    for m, d in zip(mats[:1], disps[:1]):  # the span-0 segment at t = 0
+        assert_allclose(m, np.eye(2), atol=0.0)
+        assert_allclose(d, 0.0, atol=0.0)
     for t, m, d in zip(times[1:], mats[1:], disps[1:]):
         m_ref, d_ref = oracle.integrate_propagator(oracle.OdeSpec(2, gen, t, 4000))
         assert_allclose(m, m_ref, atol=1e-12)
