@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, repeat, starmap
@@ -39,8 +40,17 @@ DEFAULT_PARAMS = {
 #: the module later is seen.  The oracle side of a spot-check takes only
 #: generator, meter_state and readout_observable from a scheme; of its closed
 #: forms it reads one, through cavity.meter_state: the angle of the closed
-#: phi-minimum, at which the cavity meter is squeezed.
+#: phi-minimum, at which the cavity meter is squeezed.  The generator's A is
+#: also the cavityless closed forms' (drift_matrix), so _track_plans checks
+#: that it is Hamiltonian before any RK4 step.
 SCHEMES = {"cavityless": cavityless, "cavity": cavity}
+
+
+def _scheme(model: str):
+    """SCHEMES[model]; an unknown model is a ValueError naming it."""
+    if model not in SCHEMES:
+        raise ValueError(f"unknown model {model!r}")
+    return SCHEMES[model]
 
 
 def _finite(**fields) -> None:
@@ -80,12 +90,13 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "params", full_params(self.params))
-        if self.model not in SCHEMES:
-            raise ValueError(f"unknown model {self.model!r}")
+        _scheme(self.model)
         _finite(s=self.s, n_th=self.n_th, tmin_scaled=self.tmin_scaled,
                 tmax_scaled=self.tmax_scaled)
         if self.n_th < 0:
             raise ValueError("n_th: thermal occupation must be nonnegative")
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"points: must be an integer, got {self.points!r}")
         if self.points < 2:
             raise ValueError("points: time grid needs at least 2 points")
         if self.tmin_scaled < 0 or self.tmax_scaled <= self.tmin_scaled:
@@ -164,6 +175,16 @@ def _columns(scheme, model: str, params: list, times: list, s: float, n_th: floa
     return sig, noi, fmin, snr
 
 
+def _hamiltonian_defect(drift: np.ndarray) -> float:
+    """max|A^T J + J A|, with J = [[0, 1], [-1, 0]] on each (X, Y) pair: 0 for
+    the drift of a quadratic Hamiltonian, which keeps the symplectic form.  As
+    J^T = -J, A^T J = -(J A)^T, and J A swaps each pair of rows of A, negating
+    the second of the pair."""
+    ja = np.empty_like(drift)
+    ja[0::2], ja[1::2] = drift[1::2], -drift[0::2]
+    return float(np.max(np.abs(ja - ja.T)))
+
+
 def _track_plans(check: str, model: str, tracks: list) -> list[list[oracle.OdeSpec]]:
     """Plan a certificate's forward tracks, (params, sorted times) pairs: per
     time, one oracle.OdeSpec for the segment from the time before (0 for the
@@ -178,16 +199,21 @@ def _track_plans(check: str, model: str, tracks: list) -> list[list[oracle.OdeSp
     drift that is not finite takes inf steps (its SVD would make LAPACK print
     to stderr).  Before any RK4 step, a StepBudgetError names the inputs if
     the summed steps exceed RK4_STEP_BUDGET: the longest track (of equal
-    ones, the latest) by its params and last time.  Only then are the specs
-    built: A and c(0) are finite and ||A|| h <= 0.01, within OdeSpec's checks."""
+    ones, the latest) by its params and last time.  Then a RuntimeError names
+    the first track whose drift is not Hamiltonian, _hamiltonian_defect above
+    8 eps ||A||: the closed forms can read the same A, so no deviation would
+    show an error in it, and both schemes' drifts read exactly 0.  Only then
+    are the specs built: A and c(0) are finite and ||A|| h <= 0.01, within
+    OdeSpec's checks."""
     scheme = SCHEMES[model]
     plans = []
     for p, ts in tracks:
         drift = scheme.generator(p, 0.0)[0]
-        rate = max(np.linalg.norm(drift, 2), p.omega / 10) if np.isfinite(drift).all() else None
+        norm = np.linalg.norm(drift, 2) if np.isfinite(drift).all() else None
         spans = list(zip([0.0, *ts[:-1]], ts))
-        plans.append((p, len(drift), spans, [
-            np.inf if rate is None else max(1000, int(np.ceil(rate * (t - t0) / 0.01)))
+        plans.append((p, drift, norm, spans, [
+            np.inf if norm is None
+            else max(1000, int(np.ceil(max(norm, p.omega / 10) * (t - t0) / 0.01)))
             for t0, t in spans]))
     steps = [sum(ns) for *_, ns in plans]
     if sum(steps) > RK4_STEP_BUDGET:
@@ -198,9 +224,17 @@ def _track_plans(check: str, model: str, tracks: list) -> list[list[oracle.OdeSp
             f"steps, over the budget of {RK4_STEP_BUDGET:.3g} (model={model} {p}); "
             "the oracle cannot certify a time span this long at these parameters"
         )
-    return [[oracle.OdeSpec(dim, lambda tau, p=p, t0=t0: scheme.generator(p, t0 + tau),
+    for p, drift, norm, *_ in plans:
+        defect, bound = _hamiltonian_defect(drift), 8 * np.finfo(float).eps * norm
+        if not defect <= bound:
+            raise RuntimeError(
+                f"oracle spot-check failed: model={model} {p}: {check} would step a drift "
+                f"that is not Hamiltonian, max|A^T J + J A| = {defect:.3g} > 8 eps ||A|| = "
+                f"{bound:.3g}: a lossless scheme's drift keeps the symplectic form"
+            )
+    return [[oracle.OdeSpec(len(drift), lambda tau, p=p, t0=t0: scheme.generator(p, t0 + tau),
                             t - t0, n) for (t0, t), n in zip(spans, ns)]
-            for p, dim, spans, ns in plans]
+            for p, drift, _, spans, ns in plans]
 
 
 def _certified_rows(model: str, params: list, times: list, meters: list,
@@ -215,7 +249,8 @@ def _certified_rows(model: str, params: list, times: list, meters: list,
     over the segment from the time before, and there the row's states leave
     it, judged meter by meter.  Errors come in this order: the ValueErrors of
     _columns, meter by meter; a StepBudgetError, before any RK4 step, if the
-    summed segment steps exceed RK4_STEP_BUDGET; then, track by track, its
+    summed segment steps exceed RK4_STEP_BUDGET, and a RuntimeError if a
+    track's drift is not Hamiltonian (_track_plans); then, track by track, its
     meter_state errors and a RuntimeError at the first (row, meter) whose
     readout the oracle does not reproduce, before any later segment runs.
     Each names its row by row = (column, the column's values)."""
@@ -292,7 +327,7 @@ def fig2_curves(
         curve
         for model in models
         for curve in _sweep_curves(
-            SweepSpec(model, 0.0, 2 * SCHEMES[model].T_STAR, points, params=params),
+            SweepSpec(model, 0.0, 2 * _scheme(model).T_STAR, points, params=params),
             FIG2_CASES)
     ]
 
@@ -308,8 +343,7 @@ class PowerScalingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "params", full_params(self.params))
-        if self.model not in SCHEMES:
-            raise ValueError(f"unknown model {self.model!r}")
+        _scheme(self.model)
         if not self.multipliers:
             raise ValueError("power scaling needs at least one multiplier")
         if not all(0 < m < np.inf for m in self.multipliers):

@@ -10,6 +10,7 @@ from optoforce import analysis
 from optoforce import cavity as cv
 from optoforce import cavityless as cl
 
+import gaussian_helpers as gh
 import referee
 import spectrum_helpers as sh
 
@@ -20,6 +21,11 @@ TIMES = "^tmax_scaled: times must satisfy 0 <= tmin_scaled < tmax_scaled$"
 def test_sweep_spec_validation():
     with pytest.raises(ValueError, match="^unknown model 'ring'$"):
         analysis.SweepSpec("ring")
+    with pytest.raises(ValueError, match="^unknown model 'ring'$"):
+        analysis.fig2_curves(models=("ring",))
+    for points in (2.5, 41.0):
+        with pytest.raises(ValueError, match=rf"^points: must be an integer, got {points}$"):
+            analysis.SweepSpec("cavityless", points=points)
     with pytest.raises(ValueError, match="^points: time grid needs at least 2 points$"):
         analysis.SweepSpec("cavity", points=1)
     with pytest.raises(ValueError, match=TIMES):
@@ -177,6 +183,40 @@ def test_spot_check_passes_across_the_cli_domain(
                   g_alpha_over_omega=g_alpha_over_omega)
     t_stop = t_fraction * 2 * analysis.SCHEMES[model].T_STAR
     analysis.run_sweep(analysis.SweepSpec(model, 0.0, t_stop, 2, s, n_th, params))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    theta_over_chi=st.floats(1.0, 1e50, exclude_min=True),
+    omega_over_theta=st.floats(1e-50, 1e50),
+    g_alpha_over_omega=st.floats(0.0, 1e100),
+    multipliers=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=4),
+)
+def test_drifts_are_hamiltonian_across_the_cli_domain(theta_over_chi, omega_over_theta,
+                                                      g_alpha_over_omega, multipliers):
+    # _track_plans refuses a drift whose Hamiltonian defect exceeds 8 eps ||A||:
+    # both schemes' drifts, power-scaled too, read exactly 0, so the check never
+    # refuses correct code.  No RK4 step runs
+    ratios = dict(theta_over_chi=theta_over_chi, omega_over_theta=omega_over_theta,
+                  g_alpha_over_omega=g_alpha_over_omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the regime warning
+        for scheme in analysis.SCHEMES.values():
+            for m in [1.0, *multipliers]:
+                try:
+                    p = scheme.power_scaled(scheme.params_from_ratios(ratios), m)
+                except cl.DegenerateResonanceError:  # Theta = Omega: every command refuses it
+                    continue
+                assert analysis._hamiltonian_defect(scheme.generator(p, 0.0)[0]) == 0.0, p
+
+
+def test_hamiltonian_defect_is_the_textbook_form():
+    # the defect _track_plans checks, against A^T J + J A with J = 2 Sigma, on
+    # drifts that are no Hamiltonian's
+    for dim in (4, 6):
+        a = np.random.default_rng(dim).standard_normal((dim, dim))
+        j = 2.0 * gh.symplectic_form(dim // 2)
+        assert analysis._hamiltonian_defect(a) == np.max(np.abs(a.T @ j + j @ a)) > 0.0
 
 
 def test_spot_check_fails_on_nan(monkeypatch):

@@ -163,36 +163,152 @@ REFUSED_INPUTS = [
     ("tmax_scaled", "0", TIMES),
     ("tmax_scaled", "-1", TIMES),
 ]
-# each on every command that takes it; then inputs refused before an -o that
-# names an existing directory where a file is written, or a file where a
-# directory is
-REFUSED_CASES = [
-    *[([command, "--" + key.replace("_", "-"), value], message)
+
+# theta and Omega past sqrt(float max), whose squares overflow: the cavityless
+# params refuse them, naming the ratio (Omega = 1e300 Theta, Theta = 0.225)
+THETA_1E200 = ("theta_over_chi: 1e+200 gives theta = 1e+200, whose square overflows; "
+               "theta and Omega must be below 1.34e+154")
+OMEGA_1E300 = ("omega_over_theta: 1e+300 gives Omega = 2.25e+299, whose square overflows; "
+               "theta and Omega must be below 1.34e+154")
+COV = "cov: not finite; the inputs overflow"
+# a certificate whose tracks would take more RK4 steps than the budget
+BUDGET = re.compile(r"error: rk4 steps: .* would take \d(\.\d+)?e\+\d+ RK4 steps, "
+                    r"over the budget of 1e\+07 \(model=")
+
+
+def refused(argv, text, as_input=True, warned=()):
+    """A command line that exits 2 with one error line: "error: " + text for
+    a case refused as input, before any scheme readout; its start for a case
+    refused on a result; a match of text if it is a pattern.  warned are the
+    starts of the warning lines before it."""
+    return pytest.param(argv, text, as_input, warned, id=" ".join(argv))
+
+
+# Every command line that exits 2, run in a directory that holds DIR, an
+# existing directory, and FILE, an existing file
+REFUSALS = [
+    # each bad input on every command that takes it; then inputs refused before
+    # an -o that names a directory where a file is written, or a file where a
+    # directory is
+    *[refused([command, "--" + key.replace("_", "-"), value], message)
       for key, value, message in REFUSED_INPUTS
       for command, spec in cli.COMMANDS.items() if key in spec.keys],
-    (["sweep", "--points", "1", "-o", "DIR"], POINTS),
-    (["sql", "--omega-over-theta", "0", "-o", "DIR"], OMEGA),
-    (["validate", "--theta-over-chi", "0.5", "-o", "DIR"], THETA),
-    (["fig2", "--theta-over-chi", "1", "-o", "FILE"], THETA),
-    (["power-scaling", "--s", "nan", "-o", "FILE"], "s: must be finite, got nan"),
+    refused(["sweep", "--points", "1", "-o", "DIR"], POINTS),
+    refused(["sql", "--omega-over-theta", "0", "-o", "DIR"], OMEGA),
+    refused(["validate", "--theta-over-chi", "0.5", "-o", "DIR"], THETA),
+    refused(["fig2", "--theta-over-chi", "1", "-o", "FILE"], THETA),
+    refused(["power-scaling", "--s", "nan", "-o", "FILE"], "s: must be finite, got nan"),
+    # an -o that cannot be written
+    *[refused([c, "-o", "DIR"], f"out: DIR is a directory; {c} writes one file")
+      for c in ("sweep", "sql", "validate")],
+    *[refused([c, "-o", "FILE"], f"out: FILE is a file; {c} writes into a directory")
+      for c in ("fig2", "power-scaling")],
+    # a path under FILE: the error names FILE's absolute path
+    *[refused([c, "-o", f"FILE/{name}"],
+              re.compile(rf"error: out: /.*/FILE is a file; {c} cannot write under it$"))
+      for c, name in (("sweep", "sub.csv"), ("validate", "l.json"), ("fig2", "dir"))],
+    # numpy refuses a 6.94 EiB grid at once, so these allocate nothing
+    *[refused([c, "--points", "1000000000000000000"],
+              re.compile(r"error: points: the time grid does not fit in memory \(.+\)$"))
+      for c in ("sweep", "fig2")],
+    refused(["sweep", "--theta-over-chi", "1e200"], THETA_1E200),
+    refused(["validate", "--theta-over-chi", "1e200"], THETA_1E200),
+    *[refused([*argv, "--omega-over-theta", "1e300"], OMEGA_1E300)
+      for argv in (["sweep"], ["fig2"], ["sql", "--model", "cavityless"],
+                   ["power-scaling", "--model", "cavityless"], ["validate"])],
+    refused(["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e307"],
+            "theta_over_chi: 1e+307 gives theta = 1e+307, whose square overflows; "
+            "theta and Omega must be below 1.34e+154"),
+    # theta and Omega are below the bound, but the power-scaled theta sqrt(m)
+    # reaches it from the row at m = 1.99526 up: that row is named
+    refused(["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e154",
+             "--omega-over-theta", "1.2"],
+            "theta_over_chi: 1e+154 gives theta sqrt(m) = 1.41254e+154, whose square "
+            "overflows; theta and Omega must be below 1.34e+154 at power_multiplier=1.99526 "
+            "(model=cavityless s=0.0)",
+            warned=["omega^2/Theta^2 = 1.44 < 10.0: outside the validity"]),
+    # g alpha = 1e308 sqrt(m) is inf from m = 3.98107 up: the params of that
+    # row cannot be built, and the row is named
+    refused(["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e308"],
+            "g_alpha must be finite at power_multiplier=3.98107 (model=cavity s=0.0)"),
+    # Theta = Omega is refused when the params are built, after the regime warning
+    refused(["validate", "--omega-over-theta", "1"],
+            "Theta = Omega within tolerance; forced response is degenerate (the model "
+            "assumes Omega^2 >> Theta^2 anyway)",
+            warned=["omega^2/Theta^2 = 1 < 10.0: outside the validity"]),
+    # validate plans both ledger tracks against the step budget before either
+    # runs: at g alpha/Omega = 1e200 the cavity drift is finite, but its track
+    # would take ~1e203 RK4 steps; at 1e4 it stops before the cavityless one runs
+    refused(["validate", "--g-alpha-over-omega", "1e200"],
+            "rk4 steps: the ledger's propagator track to t=12.5664 would take 2.51e+203 RK4 "
+            "steps, over the budget of 1e+07 (model=cavity CavityParams(g_alpha=1e+200, "
+            "omega=1.0)); the oracle cannot certify a time span this long at these "
+            "parameters"),
+    refused(["validate", "--g-alpha-over-omega", "1e4"], BUDGET),
+    refused(["validate", "--theta-over-chi", "1.000000000001"], BUDGET),
+    # results that overflow or lose their precision.  (2 g alpha/Omega)^2 is
+    # inf, and inf * 0 is NaN at t = 0: the first grid point is named
+    *[refused([c, "--model", "cavity", "--g-alpha-over-omega", "1e200"],
+              "noise: not finite at t_scaled=0 ", False) for c in ("sweep", "sql", "fig2")],
+    refused(["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"],
+            "noise: not finite", False),
+    # 2 n_th + 1 overflows: the thermal covariance is inf, and in the cavity
+    # 0 * inf is NaN at t = 0
+    refused(["sweep", "--model", "cavityless", "--n-th", "1e308"], COV, False),
+    refused(["sweep", "--model", "cavity", "--n-th", "1e308"], "noise: not finite", False),
+    refused(["sweep", "--model", "cavityless", "--s", "10", "--points", "41"],
+            "noise: negative", False),
+    # e^{-800} is 0, so the cavity rows are finite, but the spot-check's meter
+    # state holds e^{800}
+    *[refused(argv, COV, False)
+      for argv in (["sweep", "--model", "cavity", "--s", "400"],
+                   ["sweep", "--model", "cavityless", "--s", "400"],
+                   ["power-scaling", "--s", "400"],
+                   ["power-scaling", "--s", "400", "--format", "json"],
+                   ["power-scaling", "--model", "cavity", "--s", "400"])],
+    # a power-scaling row is named by its multiplier, the column the table
+    # writes.  At 1e153, (2 g alpha/Omega)^2 is inf only from 50.1187 up, but
+    # c^2 is inf from 0.01 up: the first bad row is named
+    *[refused(["power-scaling", "--model", "cavity", "--g-alpha-over-omega", g],
+              "noise: not finite at power_multiplier=0.01 ", False) for g in ("1e155", "1e153")],
+    # time spans the RK4 oracle would need 1e8 steps or more to certify: a long
+    # grid, or a long disentangling time through a small Theta
+    *[refused(argv, BUDGET, False)
+      for argv in (["sweep", "--model", "cavityless", "--tmax-scaled", "1e6"],
+                   ["sweep", "--model", "cavity", "--tmax-scaled", "1e6"],
+                   ["sweep", "--tmax-scaled", "1e300"],
+                   ["sweep", "--theta-over-chi", "1.000000000001"],
+                   ["sql", "--theta-over-chi", "1.000000000001"],
+                   # a power-scaling table is one certificate: 41 checks of at
+                   # most 2.5e6 steps each, 2.3e7 together
+                   ["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "200"])],
 ]
 
 
-@pytest.mark.parametrize("argv, message", REFUSED_CASES,
-                         ids=[" ".join(argv) for argv, _ in REFUSED_CASES])
-def test_validation_messages_name_the_field(argv, message, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, text, as_input, warned", REFUSALS)
+def test_refusal_exits_2_before_any_rk4_step_writing_nothing(argv, text, as_input, warned,
+                                                             tmp_path, monkeypatch, capsys):
     calls = []
     for scheme in cli.analysis.SCHEMES.values():
-        monkeypatch.setattr(scheme, "readout", lambda *args: calls.append("readout"))
+        monkeypatch.setattr(scheme, "readout", lambda *args, readout=scheme.readout:
+                            calls.append("readout") or readout(*args))
     for name in ("integrate_propagator", "integrate_moments", "integrate_propagator_track"):
         monkeypatch.setattr(cli.analysis.oracle, name,
                             lambda *args, name=name: calls.append(name))
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "DIR").mkdir()
     (tmp_path / "FILE").write_text("keep")
-    argv = [str(tmp_path / a) if a in ("DIR", "FILE") else a for a in argv]
     code, out, err = run_cli(argv, tmp_path, monkeypatch, capsys)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-    assert calls == []
+    assert (code, out) == (2, ""), err
+    *warning_lines, error, end = err.split("\n")
+    assert end == "" and len(warning_lines) == len(warned), err
+    assert all(line.startswith(f"warning: {w}") for line, w in zip(warning_lines, warned)), err
+    if isinstance(text, re.Pattern):
+        assert text.match(error), err
+    else:
+        assert error == f"error: {text}" if as_input else error.startswith(f"error: {text}"), err
+    assert "Traceback" not in err and "np.float64(" not in err
+    assert set(calls) <= (set() if as_input else {"readout"}), calls
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["DIR", "FILE"]
     assert (tmp_path / "FILE").read_text() == "keep"
 
@@ -201,125 +317,6 @@ def test_model_defaults_per_command():
     assert cli.parse_config(["fig2"]).model == "both"
     assert cli.parse_config(["power-scaling"]).model == "both"
     assert cli.parse_config(["sql"]).model == "cavityless"
-
-
-def test_config_error_exit_code(tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(["sweep", "--points", "1"], tmp_path, monkeypatch, capsys)
-    assert code == 2
-    assert "points" in err
-
-
-BAD_INPUTS = [
-    (["sweep", "--n-th", "nan"], "n_th"),
-    (["sweep", "--model", "cavity", "--s", "400"], "cov"),
-    (["sweep", "--model", "cavityless", "--s", "400"], "cov"),
-    (["sweep", "-o", "DIR"], "out"),
-    (["sql", "-o", "DIR"], "out"),
-    (["validate", "-o", "DIR"], "out"),
-    # numpy refuses a 6.94 EiB grid at once, so these allocate nothing
-    (["sweep", "--points", "1000000000000000000"], "points"),
-    (["fig2", "--points", "1000000000000000000"], "points"),
-]
-
-
-@pytest.mark.parametrize("argv, field", BAD_INPUTS,
-                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
-def test_bad_input_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, capsys):
-    existing = tmp_path / "existing"
-    existing.mkdir()
-    argv = [str(existing) if a == "DIR" else a for a in argv]
-    code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
-    assert code == 2
-    assert f"error: {field}: " in err
-    assert "Traceback" not in err and "np.float64(" not in err
-    assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
-
-
-# validate at g alpha/Omega = 1e200: the cavity drift is finite, but its track
-# would take ~1e203 RK4 steps
-BUDGET_1E200 = ("rk4 steps: the ledger's propagator track to t=12.5664 would take 2.51e+203 "
-                "RK4 steps, over the budget of 1e+07 (model=cavity "
-                "CavityParams(g_alpha=1e+200, omega=1.0)); the oracle cannot certify")
-
-
-# theta and Omega past sqrt(float max), whose squares overflow: the cavityless
-# params refuse them, naming the ratio (Omega = 1e300 Theta, Theta = 0.225)
-THETA_1E200 = ("theta_over_chi: 1e+200 gives theta = 1e+200, whose square overflows; "
-               "theta and Omega must be below 1.34e+154")
-OMEGA_1E300 = ("omega_over_theta: 1e+300 gives Omega = 2.25e+299, whose square overflows; "
-               "theta and Omega must be below 1.34e+154")
-
-
-# Inputs whose computation overflows or loses its precision, and an -o that
-# names an existing file where a directory is expected or lies under one.
-WRITES_NOTHING = [
-    (["fig2", "-o", "FILE"], "out: "),
-    (["power-scaling", "-o", "FILE"], "out: "),
-    (["sweep", "-o", "FILE/sub.csv"], "out: "),
-    (["validate", "-o", "FILE/l.json"], "out: "),
-    (["fig2", "-o", "FILE/dir"], "out: "),
-    # (2 g alpha/Omega)^2 is inf, and inf * 0 is NaN at t = 0: the first grid
-    # point is named
-    (["sweep", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
-     "noise: not finite at t_scaled=0 "),
-    (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
-     "noise: not finite at t_scaled=0 "),
-    (["fig2", "--model", "cavity", "--g-alpha-over-omega", "1e200"],
-     "noise: not finite at t_scaled=0 "),
-    (["validate", "--g-alpha-over-omega", "1e200"], BUDGET_1E200),
-    (["sweep", "--theta-over-chi", "1e200"], THETA_1E200),
-    (["sweep", "--omega-over-theta", "1e300"], OMEGA_1E300),
-    (["fig2", "--omega-over-theta", "1e300"], OMEGA_1E300),
-    (["sql", "--model", "cavityless", "--omega-over-theta", "1e300"], OMEGA_1E300),
-    (["power-scaling", "--model", "cavityless", "--omega-over-theta", "1e300"], OMEGA_1E300),
-    (["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e307"],
-     "theta_over_chi: 1e+307 gives theta = 1e+307, whose square overflows; "
-     "theta and Omega must be below 1.34e+154"),
-    # theta and Omega are below the bound, but the power-scaled theta sqrt(m)
-    # reaches it from the row at m = 1.99526 up: that row is named
-    (["power-scaling", "--model", "cavityless", "--theta-over-chi", "1e154",
-      "--omega-over-theta", "1.2"],
-     "theta_over_chi: 1e+154 gives theta sqrt(m) = 1.41254e+154, whose square overflows; "
-     "theta and Omega must be below 1.34e+154 at power_multiplier=1.99526 "
-     "(model=cavityless s=0.0)\n"),
-    (["sql", "--model", "cavity", "--g-alpha-over-omega", "1e150"], "noise: not finite"),
-    # 2 n_th + 1 overflows: the thermal covariance is inf, and in the cavity
-    # 0 * inf is NaN at t = 0
-    (["sweep", "--model", "cavityless", "--n-th", "1e308"], "cov: not finite"),
-    (["sweep", "--model", "cavity", "--n-th", "1e308"], "noise: not finite"),
-    (["sweep", "--model", "cavityless", "--s", "10", "--points", "41"], "noise: negative"),
-    (["power-scaling", "--s", "400"], "cov: "),
-    # e^{-800} is 0, so the rows are finite, but the spot-check's meter state
-    # holds e^{800}
-    (["power-scaling", "--model", "cavity", "--s", "400"],
-     "cov: not finite; the inputs overflow"),
-    # a power-scaling row is named by its multiplier, the column the table writes
-    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e155"],
-     "noise: not finite at power_multiplier=0.01 "),
-    # (2 g alpha/Omega)^2 is inf only from 50.1187 up, but c^2 is inf from
-    # 0.01 up: the first bad row is named
-    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e153"],
-     "noise: not finite at power_multiplier=0.01 "),
-    (["power-scaling", "--s", "400", "--format", "json"], "cov: "),
-    # g alpha = 1e308 sqrt(m) is inf from m = 3.98107 up: the params of that
-    # row cannot be built, and the row is named
-    (["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "1e308"],
-     "g_alpha must be finite at power_multiplier=3.98107 (model=cavity s=0.0)"),
-]
-
-
-@pytest.mark.parametrize("argv, message", WRITES_NOTHING,
-                         ids=[" ".join(argv) for argv, _ in WRITES_NOTHING])
-def test_bad_result_exits_2_writing_nothing(argv, message, tmp_path, monkeypatch, capsys):
-    existing = tmp_path / "existing"
-    existing.write_text("keep")
-    argv = [a.replace("FILE", str(existing)) for a in argv]
-    code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
-    assert code == 2
-    assert err.count("error: ") == 1 and f"error: {message}" in err
-    assert "Traceback" not in err and "np.float64(" not in err
-    assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
-    assert existing.read_text() == "keep"
 
 
 def test_python_float_overflow_exits_2(tmp_path, monkeypatch, capsys):
@@ -343,72 +340,6 @@ def test_failed_write_exits_2_naming_out(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: out: [Errno 13] Permission denied")
     assert list(tmp_path.iterdir()) == []
 
-
-OVERFLOWING = [(["--g-alpha-over-omega", "1e200"], BUDGET_1E200),
-               (["--omega-over-theta", "1e300"], OMEGA_1E300),
-               (["--theta-over-chi", "1e200"], THETA_1E200)]
-
-
-@pytest.mark.parametrize("argv, message", OVERFLOWING,
-                         ids=[" ".join(argv) for argv, _ in OVERFLOWING])
-def test_validate_overflow_stops_before_any_rk4_step(argv, message, tmp_path, monkeypatch,
-                                                     capsys):
-    calls = []
-    for name in ("integrate_propagator", "integrate_moments"):
-        monkeypatch.setattr(cli.analysis.oracle, name,
-                            lambda *args, name=name: calls.append(name))
-    code, _, err = run_cli(["validate", *argv], tmp_path, monkeypatch, capsys)
-    assert code == 2 and f"error: {message}" in err
-    assert calls == []
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_degenerate_resonance_stops_validate_before_any_rk4_step(tmp_path, monkeypatch,
-                                                                 capsys):
-    # Theta = Omega is refused when the params are built, after the regime warning
-    calls = []
-    for name in ("integrate_propagator", "integrate_moments"):
-        monkeypatch.setattr(cli.analysis.oracle, name,
-                            lambda *args, name=name: calls.append(name))
-    code, _, err = run_cli(["validate", "--omega-over-theta", "1"], tmp_path, monkeypatch,
-                           capsys)
-    assert code == 2 and calls == []
-    warning, error = err.splitlines()
-    assert warning.startswith("warning: omega^2/Theta^2 = 1 < 10.0: outside the validity")
-    assert error.startswith("error: Theta = Omega within tolerance")
-    assert list(tmp_path.iterdir()) == []
-
-
-# Time spans the RK4 oracle would need 1e8 steps or more to certify: a long
-# grid, or a long disentangling time through a small Theta.
-OVER_BUDGET = [
-    ["sweep", "--model", "cavityless", "--tmax-scaled", "1e6"],
-    ["sweep", "--model", "cavity", "--tmax-scaled", "1e6"],
-    ["sweep", "--tmax-scaled", "1e300"],
-    ["sweep", "--theta-over-chi", "1.000000000001"],
-    ["sql", "--theta-over-chi", "1.000000000001"],
-    ["validate", "--theta-over-chi", "1.000000000001"],
-    # the cavity track is over budget: it stops before the cavityless one runs
-    ["validate", "--g-alpha-over-omega", "1e4"],
-    # a power-scaling table is one certificate: 41 checks of at most 2.5e6
-    # steps each, 2.3e7 together
-    ["power-scaling", "--model", "cavity", "--g-alpha-over-omega", "200"],
-]
-
-
-@pytest.mark.parametrize("argv", OVER_BUDGET, ids=[" ".join(a) for a in OVER_BUDGET])
-def test_step_budget_stops_before_any_rk4_step(argv, tmp_path, monkeypatch, capsys):
-    calls = []
-    for name in ("integrate_propagator", "integrate_moments"):
-        monkeypatch.setattr(cli.analysis.oracle, name,
-                            lambda *args, name=name: calls.append(name))
-    code, _, err = run_cli(argv, tmp_path, monkeypatch, capsys)
-    assert code == 2 and err.count("error: ") == 1
-    assert re.search(r"error: rk4 steps: .* would take \d(\.\d+)?e\+\d+ RK4 steps, "
-                     r"over the budget of 1e\+07 \(model=", err), err
-    assert "Traceback" not in err and "np.float64(" not in err
-    assert calls == []
-    assert list(tmp_path.iterdir()) == []
 
 
 # Each command that writes a sweep row, and the column that names its rows

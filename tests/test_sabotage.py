@@ -70,6 +70,20 @@ def _no_mirror(mirror_term):
     return lambda r, sn, cs, n_th: 0.0
 
 
+def _sheared(eps):
+    """cavityless.drift_matrix as S A S^-1, S = 1 + eps v w^T with v = e_Y1 - e_Y2
+    and w = theta e_Y1 + chi e_Y2: A^3 = -Theta^2 A, the readout and the closed
+    drive response hold, but A is no Hamiltonian's."""
+    def make(drift_matrix):
+        def planted(p):
+            v, w = np.zeros(6), np.zeros(6)
+            v[[1, 5]], w[[1, 5]] = (1.0, -1.0), (p.theta, p.chi)
+            s = np.eye(6) + eps * np.outer(v, w)
+            return s @ drift_matrix(p) @ np.linalg.inv(s)
+        return planted
+    return make
+
+
 def _gap(reason):
     return pytest.mark.xfail(strict=True, reason=reason)
 
@@ -101,6 +115,12 @@ CATALOGUE = [
                  _signal(LITERAL_OVER_CLOSED, _row_time("cavityless", 1, points=2,
                                                         t_stop=math.pi)),
                  id="sql cavityless literal (1 - cos) denominator"),
+    # both paths read drift_matrix: only the Hamiltonian check of the oracle's
+    # tracks sees the shear, which moves the noise at T* by +20% at eps = 3e-2
+    *[pytest.param([*argv, "--model", "cavityless"], "cavityless", "drift_matrix",
+                   _sheared(eps), id=f"{argv[0]} cavityless drift shear eps={eps}")
+      for argv, eps in ((["sweep"], 1e-5), (["fig2"], 1e-5), (["sql"], 1e-5),
+                        (["power-scaling"], 1e-5), (["sweep"], 3e-2))],
     pytest.param(["sweep", "--model", "cavityless", "--n-th", "300", "--points", "401"],
                  "cavityless", "noise", _noise(1 + 1e-6), id="cavityless noise x(1+1e-6)",
                  marks=_gap("ROADMAP item 1: the largest deviation is 3.3e-9, below the "
